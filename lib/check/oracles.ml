@@ -548,7 +548,10 @@ let gain_buckets_oracle rng g =
         (List.length !model)
     in
     let* () =
-      match (Gain_buckets.max_gain t, model_max ()) with
+      let top =
+        if Gain_buckets.cardinal t = 0 then None else Some (Gain_buckets.max_gain t)
+      in
+      match (top, model_max ()) with
       | Some a, Some b when a = b -> Ok ()
       | None, None -> Ok ()
       | a, b ->
@@ -611,25 +614,22 @@ let gain_buckets_oracle rng g =
              recent. *)
           if gn <> old then model := (v, gn) :: List.remove_assoc v !model;
           Ok ())
+        else if Gain_buckets.cardinal t = 0 then
+          require (!model = []) "cardinal 0 on a non-empty queue"
         else
-          match Gain_buckets.pop_max t with
-          | None -> require (!model = []) "pop_max returned None on non-empty queue"
-          | Some (v, gn) -> (
-              match model_max () with
-              | None -> errf "pop_max returned (%d,%d) on empty model" v gn
-              | Some m ->
-                  let expected_v =
-                    fst (List.find (fun (_, gx) -> gx = m) !model)
-                  in
-                  let* () =
-                    require (gn = m) "pop_max gain %d but model max %d" gn m
-                  in
-                  let* () =
-                    require (v = expected_v)
-                      "pop_max returned %d but LIFO model expects %d" v expected_v
-                  in
-                  model := List.remove_assoc v !model;
-                  Ok ())
+          let gn = Gain_buckets.max_gain t in
+          let v = Gain_buckets.pop_max t in
+          match model_max () with
+          | None -> errf "pop_max returned (%d,%d) on empty model" v gn
+          | Some m ->
+              let expected_v = fst (List.find (fun (_, gx) -> gx = m) !model) in
+              let* () = require (gn = m) "pop_max gain %d but model max %d" gn m in
+              let* () =
+                require (v = expected_v)
+                  "pop_max returned %d but LIFO model expects %d" v expected_v
+              in
+              model := List.remove_assoc v !model;
+              Ok ()
       in
       let* () = check_state step in
       go (step + 1)
@@ -734,6 +734,11 @@ let codec_roundtrip rng g =
 
 (* {1 Serving protocol round-trips} *)
 
+(* Every wire algorithm; test_serve checks it against the full
+   constructor list, so a new backend cannot skip this oracle. *)
+let serve_codec_algorithms : Serve_protocol.algorithm array =
+  [| `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel; `Mlfm; `Xsa |]
+
 (* Law (SERVING.md): every request/response value renders to one line
    that parses back to the identical value — over arbitrary corpus
    graphs as payloads, every algorithm, every error code, and ids
@@ -743,9 +748,7 @@ let codec_roundtrip rng g =
 let serve_codec rng g =
   let module P = Serve_protocol in
   let gen_id rng = if Rng.bool rng then Some (gen_string rng) else None in
-  let algorithms : P.algorithm array =
-    [| `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel; `Mlfm |]
-  in
+  let algorithms = serve_codec_algorithms in
   let codes =
     [| P.Bad_request; P.Unsupported; P.Too_large; P.Overloaded; P.Shutting_down;
        P.Internal |]

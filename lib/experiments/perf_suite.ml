@@ -143,10 +143,9 @@ let bench_gain_buckets ~runs =
       for _ = 1 to updates do
         Gb_kl.Gain_buckets.update b (Rng.int rng n) (Rng.int_in rng (-range) range)
       done;
-      let rec drain () =
-        match Gb_kl.Gain_buckets.pop_max b with Some _ -> drain () | None -> ()
-      in
-      drain ())
+      while Gb_kl.Gain_buckets.cardinal b > 0 do
+        ignore (Gb_kl.Gain_buckets.pop_max b)
+      done)
 
 let bench_kl_pass ~runs =
   let name = "kl.pass" in
@@ -160,7 +159,18 @@ let bench_fm_pass ~runs =
   let rng = Rng.create ~seed:(seed_for name) in
   let g = Generators.gbreg_instance rng ~two_n:1000 ~b:50 ~d:4 in
   let side = Initial.random rng g in
-  measure ~runs name ~iters:1 (fun () -> Gb_kl.Fm.one_pass g side)
+  (* One prebuilt workspace; each iteration restores the start side
+     with a blit, so every pass does identical work in place. *)
+  let ws = Gb_kl.Fm.Workspace.create g in
+  let work = Array.copy side in
+  let iters = 32 in
+  measure ~runs name ~iters (fun () ->
+      let gain = ref 0 in
+      for _ = 1 to iters do
+        Array.blit side 0 work 0 (Array.length side);
+        gain := Gb_kl.Fm.pass ws g work
+      done;
+      !gain)
 
 let bench_sa_plateau ~runs =
   let name = "sa.plateau" in

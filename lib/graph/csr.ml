@@ -73,6 +73,11 @@ let iter_neighbors g u f =
     f (get g.adjncy k) (get g.adjwgt k)
   done
 
+let adj_start g u = get_checked g.xadj u
+let adj_stop g u = get_checked g.xadj (u + 1)
+let adj_target g k = get g.adjncy k
+let adj_weight g k = get g.adjwgt k
+
 let fold_neighbors g u ~init ~f =
   let acc = ref init in
   for k = get_checked g.xadj u to get_checked g.xadj (u + 1) - 1 do

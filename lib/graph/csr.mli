@@ -85,6 +85,23 @@ val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v w] for every edge [{u,v}] of
     weight [w], in increasing order of [v]. *)
 
+(** {2 Trusted-index adjacency}
+
+    A closure-free walk for hot loops: the edges of [u] are the indices
+    [k] with [adj_start g u <= k < adj_stop g u], visited in increasing
+    neighbour order, exactly the sequence {!iter_neighbors} yields.
+    [adj_start]/[adj_stop] check [u]; [adj_target]/[adj_weight] do
+    {e not} check [k], so pass only indices drawn from such a range. *)
+
+val adj_start : t -> int -> int
+val adj_stop : t -> int -> int
+
+val adj_target : t -> int -> int
+(** Neighbour id at adjacency index [k]. *)
+
+val adj_weight : t -> int -> int
+(** Edge weight at adjacency index [k]. *)
+
 val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 
 val neighbors : t -> int -> (int * int) array

@@ -98,23 +98,22 @@ let one_pass_internal ~tolerance h side0 =
   (try
      for i = 0 to n - 1 do
        let legal s = c.(s) > 0 && abs (c.(s) - 1 - (c.(1 - s) + 1)) <= tolerance in
-       let candidate s = if legal s then Gain_buckets.max_gain buckets.(s) else None in
+       let candidate s = legal s && Gain_buckets.cardinal buckets.(s) > 0 in
        let from_side =
          match (candidate 0, candidate 1) with
-         | None, None -> raise Exit
-         | Some _, None -> 0
-         | None, Some _ -> 1
-         | Some g0, Some g1 ->
+         | false, false -> raise Exit
+         | true, false -> 0
+         | false, true -> 1
+         | true, true ->
+             let g0 = Gain_buckets.max_gain buckets.(0)
+             and g1 = Gain_buckets.max_gain buckets.(1) in
              if g0 > g1 then 0
              else if g1 > g0 then 1
              else if c.(0) >= c.(1) then 0
              else 1
        in
-       let v, gv =
-         match Gain_buckets.pop_max buckets.(from_side) with
-         | Some p -> p
-         | None -> raise Exit
-       in
+       let gv = Gain_buckets.max_gain buckets.(from_side) in
+       let v = Gain_buckets.pop_max buckets.(from_side) in
        move v;
        running := !running + gv;
        moves.(i) <- v;

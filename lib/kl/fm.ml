@@ -13,105 +13,167 @@ type stats = {
   pass_gains : int list;
 }
 
+(* Allocation-free (no closure, no count pair), since [pass] must be. *)
 let check_input g side =
   Bisection.validate_sides g side;
-  let c0, c1 = Bisection.side_counts side in
-  if abs (c0 - c1) > 1 then invalid_arg "Fm: input bisection is not balanced"
+  let ones = Array.fold_left ( + ) 0 side in
+  if abs (Array.length side - (2 * ones)) > 1 then
+    invalid_arg "Fm: input bisection is not balanced"
 
-let one_pass_internal ~tolerance g side0 =
-  let n = Csr.n_vertices g in
-  if tolerance < 2 then invalid_arg "Fm: tolerance must be >= 2";
-  let side = Array.copy side0 in
-  let gains = Bisection.all_gains g side in
-  let locked = Array.make n false in
-  let range =
-    let r = ref 1 in
+(* Everything a pass needs besides the caller's side array. Every array
+   is fully rewritten (or cleared) at the start of a pass before it is
+   read, so a workspace carries no state from one pass to the next. *)
+module Workspace = struct
+  type t = {
+    range : int; (* bucket gain range: bounds every weighted degree *)
+    gains : int array;
+    locked : bool array;
+    moves : int array; (* moves.(i): vertex moved at step i *)
+    cumulative : int array; (* running gain after step i *)
+    balanced_at : bool array; (* exactly balanced after step i *)
+    buckets : Gain_buckets.t array; (* one per side *)
+    mutable committed : int; (* moves kept by the last pass *)
+  }
+
+  let create g =
+    let n = Csr.n_vertices g in
+    let range = ref 1 in
     for v = 0 to n - 1 do
       let d = Csr.weighted_degree g v in
-      if d > !r then r := d
+      if d > !range then range := d
     done;
-    !r
-  in
-  let buckets =
-    [| Gain_buckets.create ~capacity:n ~range; Gain_buckets.create ~capacity:n ~range |]
-  in
+    let range = !range in
+    {
+      range;
+      gains = Array.make n 0;
+      locked = Array.make n false;
+      moves = Array.make n 0;
+      cumulative = Array.make n 0;
+      balanced_at = Array.make n false;
+      buckets =
+        [| Gain_buckets.create ~capacity:n ~range; Gain_buckets.create ~capacity:n ~range |];
+      committed = 0;
+    }
+end
+
+(* One pass on [side] in place; returns the committed gain and leaves
+   the committed move count in [ws.committed]. Allocation-free: the
+   loops walk adjacency by index and read the bucket tops directly.
+
+   Step order, tie-breaks and the legality test are those of the
+   textbook pass: move the unlocked vertex of maximal gain whose move
+   keeps |c0 - c1| <= tolerance, taking equal gains from the larger
+   side (side 0 when the sides are even); commit the best
+   exactly-balanced prefix.
+   Each vertex moves at most once, so undoing the steps after that
+   prefix leaves exactly the start side with the prefix flipped. *)
+let pass_internal ~tolerance (ws : Workspace.t) g side =
+  if tolerance < 2 then invalid_arg "Fm: tolerance must be >= 2";
+  let n = Csr.n_vertices g in
+  if n > Array.length ws.gains then invalid_arg "Fm.pass: graph exceeds the workspace";
+  let gains = ws.gains and locked = ws.locked in
+  let b0 = ws.buckets.(0) and b1 = ws.buckets.(1) in
+  Gain_buckets.clear b0;
+  Gain_buckets.clear b1;
+  let c0 = ref 0 in
+  (* Sequential gain fill: the per-vertex fold the chunked kernel uses,
+     so the gains are the integers [Bisection.all_gains] returns. The
+     weighted degree bounds every gain the pass can reach; checking it
+     here fails before [side] is touched. *)
   for v = 0 to n - 1 do
-    Gain_buckets.insert buckets.(side.(v)) v gains.(v)
+    let sv = side.(v) in
+    let gain = ref 0 and degree = ref 0 in
+    for k = Csr.adj_start g v to Csr.adj_stop g v - 1 do
+      let w = Csr.adj_weight g k in
+      degree := !degree + w;
+      if side.(Csr.adj_target g k) = sv then gain := !gain - w else gain := !gain + w
+    done;
+    if !degree > ws.range then invalid_arg "Fm.pass: a weighted degree exceeds the workspace range";
+    gains.(v) <- !gain;
+    locked.(v) <- false;
+    if sv = 0 then incr c0;
+    Gain_buckets.insert (if sv = 0 then b0 else b1) v !gain
   done;
-  let c0, c1 = Bisection.side_counts side in
-  let c = [| c0; c1 |] in
+  let c1 = ref (n - !c0) in
   let commit_tol = n land 1 in
-  let moves = Array.make n 0 in
-  let cumulative = Array.make n 0 in
-  let balanced_at = Array.make n false in
-  let running = ref 0 in
-  let performed = ref 0 in
-  (try
-     for i = 0 to n - 1 do
-       (* A move from side s is legal if afterwards |c0 - c1| <= tolerance. *)
-       let legal s =
-         c.(s) > 0 && abs (c.(s) - 1 - (c.(1 - s) + 1)) <= tolerance
-       in
-       let candidate s = if legal s then Gain_buckets.max_gain buckets.(s) else None in
-       let from_side =
-         match (candidate 0, candidate 1) with
-         | None, None -> raise Exit
-         | Some _, None -> 0
-         | None, Some _ -> 1
-         | Some g0, Some g1 ->
-             if g0 > g1 then 0
-             else if g1 > g0 then 1
-             else if c.(0) >= c.(1) then 0
-             else 1
-       in
-       let v, gv =
-         match Gain_buckets.pop_max buckets.(from_side) with
-         | Some p -> p
-         | None -> raise Exit
-       in
-       locked.(v) <- true;
-       side.(v) <- 1 - from_side;
-       c.(from_side) <- c.(from_side) - 1;
-       c.(1 - from_side) <- c.(1 - from_side) + 1;
-       Csr.iter_neighbors g v (fun u w ->
-           if not locked.(u) then begin
-             let delta = if side.(u) = side.(v) then -2 * w else 2 * w in
-             gains.(u) <- gains.(u) + delta;
-             Gain_buckets.update buckets.(side.(u)) u gains.(u)
-           end);
-       running := !running + gv;
-       moves.(i) <- v;
-       cumulative.(i) <- !running;
-       balanced_at.(i) <- abs (c.(0) - c.(1)) <= commit_tol;
-       incr performed
-     done
-   with Exit -> ());
+  let performed = ref 0 and running = ref 0 in
+  let stuck = ref false in
+  while (not !stuck) && !performed < n do
+    (* A move from side s is legal if afterwards |c0 - c1| <= tolerance. *)
+    let from0 = !c0 > 0 && abs (!c0 - !c1 - 2) <= tolerance && Gain_buckets.cardinal b0 > 0 in
+    let from1 = !c1 > 0 && abs (!c1 - !c0 - 2) <= tolerance && Gain_buckets.cardinal b1 > 0 in
+    if not (from0 || from1) then stuck := true
+    else begin
+      let from_side =
+        if not from1 then 0
+        else if not from0 then 1
+        else
+          let g0 = Gain_buckets.max_gain b0 and g1 = Gain_buckets.max_gain b1 in
+          if g0 > g1 then 0 else if g1 > g0 then 1 else if !c0 >= !c1 then 0 else 1
+      in
+      let bucket = if from_side = 0 then b0 else b1 in
+      let gv = Gain_buckets.max_gain bucket in
+      let v = Gain_buckets.pop_max bucket in
+      let to_side = 1 - from_side in
+      locked.(v) <- true;
+      side.(v) <- to_side;
+      if from_side = 0 then begin
+        decr c0;
+        incr c1
+      end
+      else begin
+        incr c0;
+        decr c1
+      end;
+      for k = Csr.adj_start g v to Csr.adj_stop g v - 1 do
+        let u = Csr.adj_target g k in
+        if not locked.(u) then begin
+          let w = Csr.adj_weight g k in
+          let su = side.(u) in
+          let gu = if su = to_side then gains.(u) - (2 * w) else gains.(u) + (2 * w) in
+          gains.(u) <- gu;
+          Gain_buckets.update (if su = 0 then b0 else b1) u gu
+        end
+      done;
+      running := !running + gv;
+      let i = !performed in
+      ws.moves.(i) <- v;
+      ws.cumulative.(i) <- !running;
+      ws.balanced_at.(i) <- abs (!c0 - !c1) <= commit_tol;
+      performed := i + 1
+    end
+  done;
   let best_k = ref 0 and best_gain = ref 0 in
   for i = 0 to !performed - 1 do
-    if balanced_at.(i) && cumulative.(i) > !best_gain then begin
-      best_gain := cumulative.(i);
+    if ws.balanced_at.(i) && ws.cumulative.(i) > !best_gain then begin
+      best_gain := ws.cumulative.(i);
       best_k := i + 1
     end
   done;
-  if !best_gain <= 0 then (Array.copy side0, 0)
-  else begin
-    let result = Array.copy side0 in
-    for i = 0 to !best_k - 1 do
-      result.(moves.(i)) <- 1 - result.(moves.(i))
-    done;
-    (result, !best_gain)
-  end
+  for i = !performed - 1 downto !best_k do
+    let v = ws.moves.(i) in
+    side.(v) <- 1 - side.(v)
+  done;
+  ws.committed <- !best_k;
+  !best_gain
+
+let pass ?(tolerance = default_config.tolerance) ws g side =
+  check_input g side;
+  pass_internal ~tolerance ws g side
 
 let one_pass ?(tolerance = default_config.tolerance) g side =
   check_input g side;
-  one_pass_internal ~tolerance g side
+  let side = Array.copy side in
+  let gain = pass_internal ~tolerance (Workspace.create g) g side in
+  (side, gain)
 
 let refine ?(config = default_config) g side0 =
   (* Resource profile of a whole refinement; inert unless Prof is on. *)
   Gb_obs.Prof.with_span "fm.refine" @@ fun () ->
   check_input g side0;
   let initial_cut = Bisection.compute_cut g side0 in
-  let side = ref (Array.copy side0) in
+  let side = Array.copy side0 in
+  let ws = Workspace.create g in
   let pass_gains = ref [] in
   let moves = ref 0 in
   let passes = ref 0 in
@@ -120,12 +182,11 @@ let refine ?(config = default_config) g side0 =
   (try
      while !passes < config.max_passes do
        let span = Gb_obs.Trace.start () in
-       let next, gain = one_pass_internal ~tolerance:config.tolerance g !side in
+       let gain = pass_internal ~tolerance:config.tolerance ws g side in
        incr passes;
        pass_gains := gain :: !pass_gains;
        if gain > 0 then begin
-         Array.iteri (fun v s -> if s <> next.(v) then incr moves) !side;
-         side := next;
+         moves := !moves + ws.committed;
          cut := !cut - gain
        end;
        Gb_obs.Telemetry.sample "fm.pass" (float_of_int !cut);
@@ -134,8 +195,8 @@ let refine ?(config = default_config) g side0 =
        if gain <= 0 && config.until_no_improvement then raise Exit
      done
    with Exit -> ());
-  let final_cut = Bisection.compute_cut g !side in
-  ( !side,
+  let final_cut = Bisection.compute_cut g side in
+  ( side,
     {
       passes = !passes;
       moves = !moves;

@@ -9,6 +9,19 @@
     O(m) — strictly cheaper than KL's pair search — at the price of a
     slightly weaker move repertoire per step.
 
+    {b Memory.} A pass runs inside a {!Workspace}: gains, locked flags,
+    the move log, cumulative gains, balanced-at flags and one gain
+    bucket structure per side. {!refine} allocates one workspace for
+    its graph and reuses it on every pass. A pass moves vertices of the
+    caller's side array in place and then rolls back the moves after
+    the best balanced prefix. Each vertex moves at most once per pass,
+    so the rollback leaves exactly the start side with that prefix
+    flipped. A pass allocates nothing and spawns no domain: gains are
+    filled sequentially, adjacency is walked by index and the bucket
+    tops are read without boxing. The workspace of a {!refine} call
+    lives inside that call, so parallel starts each build their own; a
+    workspace must never serve two passes at once.
+
     Provided as an extension (not part of the paper's experiments) and
     exercised by the ablation benchmarks; it slots anywhere {!Kl} does,
     including under compaction. *)
@@ -33,9 +46,27 @@ type stats = {
   pass_gains : int list;
 }
 
+module Workspace : sig
+  type t
+
+  val create : Gb_graph.Csr.t -> t
+  (** A workspace sized for the given graph. It also serves any graph
+      with no more vertices and no larger weighted degree. *)
+end
+
+val pass : ?tolerance:int -> Workspace.t -> Gb_graph.Csr.t -> int array -> int
+(** [pass ws g side] runs one pass from the balanced assignment [side],
+    updates [side] in place to the committed (exactly balanced)
+    assignment and returns its cut decrease; [0] leaves [side]
+    unchanged. Allocation-free.
+    @raise Invalid_argument if [side] is invalid or unbalanced, if
+    [tolerance < 2], or if [g] does not fit [ws]; [side] is untouched
+    when it raises. *)
+
 val one_pass : ?tolerance:int -> Gb_graph.Csr.t -> int array -> int array * int
-(** Single pass from a balanced assignment; returns the new assignment
-    (exactly balanced) and its cut decrease. *)
+(** Single pass from a balanced assignment on a fresh workspace;
+    returns the new assignment (exactly balanced, a fresh array) and
+    its cut decrease. *)
 
 val refine : ?config:config -> Gb_graph.Csr.t -> int array -> int array * stats
 val run :

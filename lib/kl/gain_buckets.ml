@@ -39,39 +39,41 @@ let gain_of t v =
 
 let cardinal t = t.count
 
-let insert t v gain =
-  if t.present.(v) then invalid_arg "Gain_buckets.insert: already present";
-  let b = bucket_of t gain in
+(* Splice [v] in at the head of bucket [b] (LIFO) / out of its bucket;
+   presence, key and count are the callers' business. *)
+let link t v b =
   let h = t.head.(b) in
   t.next.(v) <- h;
   t.prev.(v) <- -2 - b;
   if h >= 0 then t.prev.(h) <- v;
   t.head.(b) <- v;
+  if b > t.max_idx then t.max_idx <- b
+
+let unlink t v =
+  let nxt = t.next.(v) and prv = t.prev.(v) in
+  if prv <= -2 then t.head.(-2 - prv) <- nxt else t.next.(prv) <- nxt;
+  if nxt >= 0 then t.prev.(nxt) <- prv
+
+let insert t v gain =
+  if t.present.(v) then invalid_arg "Gain_buckets.insert: already present";
+  link t v (bucket_of t gain);
   t.key.(v) <- gain;
   t.present.(v) <- true;
-  t.count <- t.count + 1;
-  if b > t.max_idx then t.max_idx <- b
+  t.count <- t.count + 1
 
 let remove t v =
   if not t.present.(v) then invalid_arg "Gain_buckets.remove: absent";
-  let nxt = t.next.(v) and prv = t.prev.(v) in
-  if prv <= -2 then begin
-    let b = -2 - prv in
-    t.head.(b) <- nxt;
-    if nxt >= 0 then t.prev.(nxt) <- prv
-  end
-  else begin
-    t.next.(prv) <- nxt;
-    if nxt >= 0 then t.prev.(nxt) <- prv
-  end;
+  unlink t v;
   t.present.(v) <- false;
   t.count <- t.count - 1
 
 let update t v gain =
   if not t.present.(v) then invalid_arg "Gain_buckets.update: absent";
   if t.key.(v) <> gain then begin
-    remove t v;
-    insert t v gain
+    let b = bucket_of t gain in
+    unlink t v;
+    link t v b;
+    t.key.(v) <- gain
   end
 
 let settle_max t =
@@ -79,19 +81,18 @@ let settle_max t =
     t.max_idx <- t.max_idx - 1
   done
 
+(* [count > 0] guarantees settle_max stops on a non-empty bucket. *)
 let max_gain t =
+  if t.count = 0 then invalid_arg "Gain_buckets.max_gain: empty";
   settle_max t;
-  if t.max_idx < 0 then None else Some (t.max_idx - t.range)
+  t.max_idx - t.range
 
 let pop_max t =
+  if t.count = 0 then invalid_arg "Gain_buckets.pop_max: empty";
   settle_max t;
-  if t.max_idx < 0 then None
-  else begin
-    let v = t.head.(t.max_idx) in
-    let g = t.max_idx - t.range in
-    remove t v;
-    Some (v, g)
-  end
+  let v = t.head.(t.max_idx) in
+  remove t v;
+  v
 
 let iter_desc t ~f =
   settle_max t;

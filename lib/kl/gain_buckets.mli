@@ -36,11 +36,15 @@ val gain_of : t -> int -> int
 val cardinal : t -> int
 (** Number of vertices currently present. O(1). *)
 
-val max_gain : t -> int option
-(** Highest gain currently present, [None] when empty. *)
+val max_gain : t -> int
+(** Highest gain currently present. Allocation-free.
+    @raise Invalid_argument when empty (see {!cardinal}). *)
 
-val pop_max : t -> (int * int) option
-(** Remove and return a vertex of maximal gain. *)
+val pop_max : t -> int
+(** Remove and return a vertex of maximal gain — the one placed in
+    that gain's bucket most recently; read its gain with {!max_gain}
+    before popping. Allocation-free.
+    @raise Invalid_argument when empty. *)
 
 val iter_desc : t -> f:(int -> int -> [ `Continue | `Stop ]) -> unit
 (** Visit present vertices in non-increasing gain order until [f]

@@ -47,26 +47,25 @@ let flip g side gains locked buckets updates v =
    [scanned] counts candidate pairs actually evaluated. *)
 let select_pair g buckets scanned =
   let best = ref min_int and best_a = ref (-1) and best_b = ref (-1) in
-  (match Gain_buckets.max_gain buckets.(1) with
-  | None -> ()
-  | Some max_b ->
-      Gain_buckets.iter_desc buckets.(0) ~f:(fun a ga ->
-          if ga + max_b <= !best then `Stop
-          else begin
-            Gain_buckets.iter_desc buckets.(1) ~f:(fun b gb ->
-                if ga + gb <= !best then `Stop
-                else begin
-                  incr scanned;
-                  let cand = ga + gb - (2 * Csr.edge_weight g a b) in
-                  if cand > !best then begin
-                    best := cand;
-                    best_a := a;
-                    best_b := b
-                  end;
-                  `Continue
-                end);
-            `Continue
-          end));
+  (if Gain_buckets.cardinal buckets.(1) > 0 then
+     let max_b = Gain_buckets.max_gain buckets.(1) in
+     Gain_buckets.iter_desc buckets.(0) ~f:(fun a ga ->
+         if ga + max_b <= !best then `Stop
+         else begin
+           Gain_buckets.iter_desc buckets.(1) ~f:(fun b gb ->
+               if ga + gb <= !best then `Stop
+               else begin
+                 incr scanned;
+                 let cand = ga + gb - (2 * Csr.edge_weight g a b) in
+                 if cand > !best then begin
+                   best := cand;
+                   best_a := a;
+                   best_b := b
+                 end;
+                 `Continue
+               end);
+           `Continue
+         end));
   if !best_a < 0 then None else Some (!best_a, !best_b, !best)
 
 let one_pass_internal g side0 =

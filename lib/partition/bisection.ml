@@ -4,8 +4,12 @@ module Pool = Gb_par.Pool
 let validate_sides g side =
   if Array.length side <> Csr.n_vertices g then
     invalid_arg "Bisection: side array length mismatch";
-  if Array.exists (fun s -> s <> 0 && s <> 1) side then
-    invalid_arg "Bisection: sides must be 0 or 1"
+  (* a loop rather than Array.exists: no closure, so Fm.pass stays
+     allocation-free *)
+  for v = 0 to Array.length side - 1 do
+    let s = side.(v) in
+    if s <> 0 && s <> 1 then invalid_arg "Bisection: sides must be 0 or 1"
+  done
 
 let compute_cut g side =
   let cut = ref 0 in

@@ -14,6 +14,24 @@ let check_graph_ok g =
   try Graph.check g
   with Failure msg -> Alcotest.failf "graph invariant violated: %s" msg
 
+(* The first [per_family] fuzz corpus cases of every generator family,
+   in family order. Replay seeds below 1000 cover every family several
+   times over (test_check proves 600 seeds reach each one). *)
+let family_cases ?(per_family = 1) () =
+  let module G = Gbisect.Fuzz_generators in
+  let found = Hashtbl.create 32 in
+  for seed = 0 to 999 do
+    let c = G.generate ~seed in
+    let cs = Option.value ~default:[] (Hashtbl.find_opt found c.G.family) in
+    if List.length cs < per_family then Hashtbl.replace found c.G.family (c :: cs)
+  done;
+  List.concat_map
+    (fun f ->
+      match Hashtbl.find_opt found f with
+      | Some cs when List.length cs = per_family -> List.rev cs
+      | _ -> Alcotest.failf "family %s has fewer than %d cases in 1000 seeds" f per_family)
+    G.families
+
 (* --- QCheck generators ---------------------------------------------- *)
 
 (* A random simple unweighted graph described by (n, edge list); sizes

@@ -228,25 +228,8 @@ let race_tests =
 
 (* --- differential tests for the chunked CSR kernels ------------------------ *)
 
-(* One representative case per generator family (first seed in 0..599
-   that hits it — test_check proves 600 seeds cover all families). *)
-let family_cases =
-  let seen = Hashtbl.create 32 in
-  let rec scan seed =
-    if Hashtbl.length seen < List.length Generators.families && seed < 600 then begin
-      let c = Generators.generate ~seed in
-      if not (Hashtbl.mem seen c.Generators.family) then
-        Hashtbl.replace seen c.Generators.family c;
-      scan (seed + 1)
-    end
-  in
-  scan 0;
-  List.map
-    (fun f ->
-      match Hashtbl.find_opt seen f with
-      | Some c -> c
-      | None -> Alcotest.failf "family %s not generated in 600 seeds" f)
-    Generators.families
+(* One representative case per generator family. *)
+let family_cases = Helpers.family_cases ()
 
 let kernel_tests =
   [
