@@ -20,6 +20,7 @@ module type Problem = sig
   val apply : state -> move -> unit
   val feasible : state -> bool
   val snapshot : state -> state
+  val save : src:state -> dst:state -> unit
 end
 
 type plateau = {
@@ -75,7 +76,9 @@ module Make (P : Problem) = struct
       | Schedule.Calibrate fraction -> calibrate rng state fraction
     in
     let temperature = ref t0 in
-    let best = ref (P.snapshot state) in
+    (* The one best-state buffer of the run: improvements overwrite it
+       in place through P.save. *)
+    let best = P.snapshot state in
     let best_cost = ref (if P.feasible state then P.cost state else infinity) in
     let have_best = ref (P.feasible state) in
     let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
@@ -119,7 +122,7 @@ module Make (P : Problem) = struct
           if P.feasible state then begin
             let c = P.cost state in
             if (not !have_best) || c < !best_cost then begin
-              best := P.snapshot state;
+              P.save ~src:state ~dst:best;
               best_cost := c;
               have_best := true;
               improved_best := true
@@ -168,7 +171,7 @@ module Make (P : Problem) = struct
       if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
       else temperature := !temperature *. schedule.Schedule.cooling
     done;
-    let best_state = if !have_best then !best else P.snapshot state in
+    let best_state = if !have_best then best else P.snapshot state in
     let best_cost = if !have_best then !best_cost else P.cost state in
     {
       final = state;

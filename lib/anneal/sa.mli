@@ -22,9 +22,11 @@
     Following the paper's §VII warning that SA "may migrate away from
     an optimal solution ... one must then save the best bisection found
     as the algorithm progresses", the engine snapshots the best
-    {e feasible} state seen (feasibility defined by the problem), which
-    indeed "increases the time and storage requirements" — that cost
-    is visible in the benchmarks, as the paper says. *)
+    {e feasible} state seen (feasibility defined by the problem). The
+    paper notes that this "increases the time and storage
+    requirements". Here the storage is one {!Problem.snapshot} taken at
+    the start of a run, and each new best costs one {!Problem.save}
+    into it: a blit of the state, with no allocation. *)
 
 module type Problem = sig
   type state
@@ -49,7 +51,20 @@ module type Problem = sig
       bisection is balanced). *)
 
   val snapshot : state -> state
-  (** Immutable-enough copy used to store the best state. *)
+  (** A read-only copy of the state. The engine takes one at the start
+      of a run as its best-state buffer and returns snapshots as
+      [best]. A snapshot answers {!cost}, {!feasible} and {!size} like
+      the state it copies. It need not carry the caches that {!delta}
+      and {!apply} read, so a problem may raise when a snapshot is
+      stepped. *)
+
+  val save : src:state -> dst:state -> unit
+  (** [save ~src ~dst] overwrites the snapshot [dst] with the current
+      contents of [src], which must come from the same instance (for
+      example the same graph). Afterwards [dst] reads exactly as
+      [snapshot src] would, and later changes to [src] leave it
+      unchanged. It is called once per new best, so it should copy in
+      place and allocate nothing. *)
 end
 
 (** Per-temperature-step record — the acceptance ratio here is the

@@ -17,6 +17,8 @@ module Problem = struct
   type state = {
     graph : Csr.t;
     side : int array;
+    gains : int array;
+        (* live: gains.(v) = Bisection.gain graph side v; [||] in a snapshot *)
     mutable cut : int;
     mutable c0 : int;
     mutable c1 : int;
@@ -34,16 +36,29 @@ module Problem = struct
 
   let random_move rng st = Rng.int rng (Csr.n_vertices st.graph)
 
+  (* A snapshot has no gain cache; stepping it would read stale gains. *)
+  let check_live st =
+    if Array.length st.gains <> Array.length st.side then
+      invalid_arg "Sa_bisect.Problem: a snapshot cannot be stepped"
+
+  let gain st v =
+    check_live st;
+    st.gains.(v)
+
   let delta st v =
-    let gain = Bisection.gain st.graph st.side v in
+    check_live st;
     let d = st.c0 - st.c1 in
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
-    float_of_int (-gain) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
+    float_of_int (-st.gains.(v)) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
 
+  (* Flipping v negates its own gain and moves each neighbour's by 2w:
+     up for the neighbours v leaves, down for the ones it joins. *)
   let apply st v =
-    let gain = Bisection.gain st.graph st.side v in
+    check_live st;
+    let g = st.graph and side = st.side and gains = st.gains in
+    let s = side.(v) and gain = gains.(v) in
     st.cut <- st.cut - gain;
-    if st.side.(v) = 0 then begin
+    if s = 0 then begin
       st.c0 <- st.c0 - 1;
       st.c1 <- st.c1 + 1
     end
@@ -51,16 +66,38 @@ module Problem = struct
       st.c1 <- st.c1 - 1;
       st.c0 <- st.c0 + 1
     end;
-    st.side.(v) <- 1 - st.side.(v)
+    side.(v) <- 1 - s;
+    gains.(v) <- -gain;
+    for k = Csr.adj_start g v to Csr.adj_stop g v - 1 do
+      let u = Csr.adj_target g k and w2 = 2 * Csr.adj_weight g k in
+      if side.(u) = s then gains.(u) <- gains.(u) + w2 else gains.(u) <- gains.(u) - w2
+    done
 
   let feasible st = abs (st.c0 - st.c1) <= st.balance_slack
-  let snapshot st = { st with side = Array.copy st.side }
+  let snapshot st = { st with side = Array.copy st.side; gains = [||] }
+
+  let save ~src ~dst =
+    if Array.length dst.gains <> 0 then
+      invalid_arg "Sa_bisect.Problem.save: the destination is not a snapshot";
+    let n = Array.length src.side in
+    if Array.length dst.side <> n then
+      invalid_arg "Sa_bisect.Problem.save: states of different graphs";
+    let from = src.side and into = dst.side in
+    (* a typed int loop: no Array.blit, so no caml_modify per word *)
+    for v = 0 to n - 1 do
+      into.(v) <- from.(v)
+    done;
+    dst.cut <- src.cut;
+    dst.c0 <- src.c0;
+    dst.c1 <- src.c1
 
   let make config g side =
     let c0, c1 = Bisection.side_counts side in
+    let side = Array.copy side in
     {
       graph = g;
-      side = Array.copy side;
+      side;
+      gains = Bisection.all_gains_sequential g side;
       cut = Bisection.compute_cut g side;
       c0;
       c1;

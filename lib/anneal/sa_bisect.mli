@@ -59,7 +59,18 @@ val run :
     cached cut and side counts, move = single-vertex flip, cost = cut
     plus quadratic imbalance penalty) is exposed so that alternative
     engines — e.g. {!Threshold} accepting — can run on the identical
-    search space. *)
+    search space.
+
+    A live state (one built by {!Problem.make}) also caches every
+    vertex's gain. The invariant is
+    [gain st v = Bisection.gain g (sides st) v] for every [v], and
+    [cut] equals [Bisection.compute_cut g (sides st)]. [make] fills the
+    cache in O(m). [apply st v] keeps it exact in O(deg v): it negates
+    [v]'s gain and moves each neighbour's by twice the edge weight.
+    [delta] is then one array read. A snapshot carries sides, cut and
+    counts but no gain cache: [delta] and [apply] raise
+    [Invalid_argument] on it, and {!Problem.save} only writes into
+    one. *)
 
 module Problem : sig
   (* A move is the vertex to flip — public so engines built on this
@@ -69,6 +80,11 @@ module Problem : sig
 
   val make : config -> Gb_graph.Csr.t -> int array -> state
   (** Build a state from a balanced side assignment (copied). *)
+
+  val gain : state -> int -> int
+  (** [gain st v]: the cached gain of [v], equal to
+      [Bisection.gain g (sides st) v].
+      @raise Invalid_argument on a snapshot. *)
 
   val sides : state -> int array
   (** Current side assignment (copied). *)

@@ -67,7 +67,7 @@ module Make (P : Sa.Problem) = struct
       | `Calibrate q -> calibrate rng state q
     in
     let threshold = ref t0 in
-    let best = ref (P.snapshot state) in
+    let best = P.snapshot state in
     let best_cost = ref (if P.feasible state then P.cost state else infinity) in
     let have_best = ref (P.feasible state) in
     let attempted = ref 0 and accepted = ref 0 in
@@ -89,7 +89,7 @@ module Make (P : Sa.Problem) = struct
           if P.feasible state then begin
             let c = P.cost state in
             if (not !have_best) || c < !best_cost then begin
-              best := P.snapshot state;
+              P.save ~src:state ~dst:best;
               best_cost := c;
               have_best := true;
               improved_best := true
@@ -104,7 +104,7 @@ module Make (P : Sa.Problem) = struct
       if !cold_streak >= schedule.frozen_after then frozen := true
       else threshold := !threshold *. schedule.decay
     done;
-    let best_state = if !have_best then !best else P.snapshot state in
+    let best_state = if !have_best then best else P.snapshot state in
     let best_cost = if !have_best then !best_cost else P.cost state in
     {
       final = state;

@@ -62,12 +62,18 @@ let planted rng =
   Gb_models.Planted.generate rng
     Gb_models.Planted.{ two_n; p_a = Rng.float rng 0.6; p_b = Rng.float rng 0.6; bis }
 
-let gbreg rng =
+(* Some draws (a [b] too close to [n*d] on a tiny graph) cannot be
+   realised, and Bregular fails. Only then is the draw repeated, from
+   the same stream: a replay seed always builds a case, and every seed
+   that built one before builds the same case. *)
+let rec gbreg rng =
   let half = 3 + Rng.int rng 5 in
   let two_n = 2 * half in
   let d = 1 + Rng.int rng (min 3 (half - 1)) in
   let b = Rng.int rng (1 + (half * d / 2)) in
-  gbreg_instance rng ~two_n ~b ~d
+  match gbreg_instance rng ~two_n ~b ~d with
+  | g -> g
+  | exception Failure _ -> gbreg rng
 
 let geometric rng =
   let n = Rng.int rng 17 in

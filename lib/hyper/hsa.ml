@@ -67,6 +67,25 @@ module Problem = struct
 
   let snapshot st =
     { st with side = Array.copy st.side; pins = Array.map Array.copy st.pins }
+
+  (* Typed int loops over the snapshot's own arrays: no allocation and
+     no caml_modify. *)
+  let save ~src ~dst =
+    let n = Array.length src.side and m = Array.length src.pins in
+    if Array.length dst.side <> n || Array.length dst.pins <> m then
+      invalid_arg "Hsa.Problem.save: states of different hypergraphs";
+    let from = src.side and into = dst.side in
+    for v = 0 to n - 1 do
+      into.(v) <- from.(v)
+    done;
+    for e = 0 to m - 1 do
+      let p = src.pins.(e) and q = dst.pins.(e) in
+      q.(0) <- p.(0);
+      q.(1) <- p.(1)
+    done;
+    dst.cut <- src.cut;
+    dst.c0 <- src.c0;
+    dst.c1 <- src.c1
 end
 
 module Engine = Sa.Make (Problem)

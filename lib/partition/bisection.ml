@@ -11,7 +11,10 @@ let validate_sides g side =
     if s <> 0 && s <> 1 then invalid_arg "Bisection: sides must be 0 or 1"
   done
 
-let compute_cut g side =
+(* The [side : int array] annotations below are load-bearing: left
+   polymorphic, every [side.(u) = side.(v)] compiles to a [caml_equal]
+   call. *)
+let compute_cut g (side : int array) =
   let cut = ref 0 in
   Csr.iter_edges g (fun u v w -> if side.(u) <> side.(v) then cut := !cut + w);
   !cut
@@ -29,11 +32,16 @@ let side_weights g side =
     side;
   (!w0, !w1)
 
-let gain g side v =
-  Csr.fold_neighbors g v ~init:0 ~f:(fun acc u w ->
-      if side.(u) = side.(v) then acc - w else acc + w)
+let gain g (side : int array) v =
+  let s = side.(v) in
+  let acc = ref 0 in
+  for k = Csr.adj_start g v to Csr.adj_stop g v - 1 do
+    let w = Csr.adj_weight g k in
+    if side.(Csr.adj_target g k) = s then acc := !acc - w else acc := !acc + w
+  done;
+  !acc
 
-let all_gains_sequential g side =
+let all_gains_sequential g (side : int array) =
   let gains = Array.make (Csr.n_vertices g) 0 in
   Csr.iter_edges g (fun u v w ->
       if side.(u) = side.(v) then begin
@@ -77,7 +85,7 @@ let all_gains g side =
   then all_gains_sequential g side
   else all_gains_chunked ~chunks:(4 * Pool.domains pool) g side
 
-let swap_gain g side a b =
+let swap_gain g (side : int array) a b =
   if side.(a) = side.(b) then invalid_arg "Bisection.swap_gain: same side";
   gain g side a + gain g side b - (2 * Csr.edge_weight g a b)
 
@@ -142,7 +150,7 @@ let rebalance_in_place g side =
     let hg = ref (Array.make (max 16 n) 0) in
     let hv = ref (Array.make (max 16 n) 0) in
     let len = ref 0 in
-    let before g1 v1 g2 v2 = g1 > g2 || (g1 = g2 && v1 < v2) in
+    let before (g1 : int) (v1 : int) (g2 : int) v2 = g1 > g2 || (g1 = g2 && v1 < v2) in
     let swap i j =
       let h = !hg and v = !hv in
       let tg = h.(i) and tv = v.(i) in

@@ -16,8 +16,6 @@ val create : seed:int -> t
 val of_lfg : Lfg.t -> t
 (** Wrap an existing core generator (shares and advances its state). *)
 
-(* lint: allow dead-export — snapshot/restore surface of the generator
-   API, the replay counterpart of split *)
 val copy : t -> t
 (** Independent snapshot of the current state. *)
 

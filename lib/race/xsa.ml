@@ -78,7 +78,7 @@ type slot = {
   temperature : float;
   mutable state : Problem.state;
   mutable best_cost : float;
-  mutable best_sides : int array;
+  best : Problem.state; (* snapshot buffer, overwritten by Problem.save *)
   mutable attempted : int;
   mutable accepted : int;
   mutable trajectory : int list; (* accepted moves, reversed *)
@@ -103,7 +103,7 @@ let step_slot cfg n record slot =
         let c = Problem.cost slot.state in
         if c < slot.best_cost then begin
           slot.best_cost <- c;
-          slot.best_sides <- Problem.sides slot.state
+          Problem.save ~src:slot.state ~dst:slot.best
         end
       end
     end
@@ -149,7 +149,7 @@ let run ?(config = default_config) ?(record = false) rng g =
             temperature = temps.(i);
             state;
             best_cost = Problem.cost state;
-            best_sides = Problem.sides state;
+            best = Problem.snapshot state;
             attempted = 0;
             accepted = 0;
             trajectory = [];
@@ -203,13 +203,13 @@ let run ?(config = default_config) ?(record = false) rng g =
       (fun idx slot ->
         let final_sides = Bisection.rebalance g (Problem.sides slot.state) in
         let final_cut = Bisection.compute_cut g final_sides in
+        let snap_sides = Problem.sides slot.best in
         let snap_cut =
-          if Bisection.is_count_balanced slot.best_sides then
-            Bisection.compute_cut g slot.best_sides
+          if Bisection.is_count_balanced snap_sides then Bisection.compute_cut g snap_sides
           else max_int
         in
         let cut, sides, was_snapshot =
-          if snap_cut <= final_cut then (snap_cut, slot.best_sides, true)
+          if snap_cut <= final_cut then (snap_cut, snap_sides, true)
           else (final_cut, final_sides, false)
         in
         if cut < !best_cut then begin

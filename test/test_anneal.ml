@@ -64,6 +64,7 @@ module Toy = struct
   let apply st i = st.spins.(i) <- -st.spins.(i)
   let feasible _ = true
   let snapshot st = { st with spins = Array.copy st.spins }
+  let save ~src ~dst = Array.blit src.spins 0 dst.spins 0 (Array.length src.spins)
 end
 
 module Toy_engine = Sa.Make (Toy)
@@ -314,6 +315,444 @@ let threshold_tests =
         done);
   ]
 
+(* --- SA differential: the gain-cached problem vs the one it replaced --- *)
+
+module Csr = Gbisect.Graph
+
+(* The bisection problem as it stood before the gain cache: [delta] and
+   [apply] each recompute the flipped vertex's gain from its adjacency.
+   Frozen here as the reference the cached problem must reproduce. *)
+module Reference_problem = struct
+  type state = {
+    graph : Csr.t;
+    side : int array;
+    mutable cut : int;
+    mutable c0 : int;
+    mutable c1 : int;
+    alpha : float;
+    balance_slack : int;
+  }
+
+  let size st = Csr.n_vertices st.graph
+
+  let cost st =
+    let d = float_of_int (st.c0 - st.c1) in
+    float_of_int st.cut +. (st.alpha *. d *. d)
+
+  let random_move rng st = Rng.int rng (Csr.n_vertices st.graph)
+
+  let gain g (side : int array) v =
+    Csr.fold_neighbors g v ~init:0 ~f:(fun acc u w ->
+        if side.(u) = side.(v) then acc - w else acc + w)
+
+  let delta st v =
+    let gain = gain st.graph st.side v in
+    let d = st.c0 - st.c1 in
+    let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
+    float_of_int (-gain) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
+
+  let apply st v =
+    let gain = gain st.graph st.side v in
+    st.cut <- st.cut - gain;
+    if st.side.(v) = 0 then begin
+      st.c0 <- st.c0 - 1;
+      st.c1 <- st.c1 + 1
+    end
+    else begin
+      st.c1 <- st.c1 - 1;
+      st.c0 <- st.c0 + 1
+    end;
+    st.side.(v) <- 1 - st.side.(v)
+
+  let feasible st = abs (st.c0 - st.c1) <= st.balance_slack
+  let snapshot st = { st with side = Array.copy st.side }
+
+  let make (config : Sa_bisect.config) g side =
+    let c0, c1 = Bisection.side_counts side in
+    {
+      graph = g;
+      side = Array.copy side;
+      cut = Bisection.compute_cut g side;
+      c0;
+      c1;
+      alpha = config.Sa_bisect.imbalance_factor;
+      balance_slack = Csr.n_vertices g land 1;
+    }
+end
+
+(* The engine of the same vintage, which takes a fresh snapshot for
+   every new best (its observability hooks, which are passive, left
+   out). Returns (final, best, stats). *)
+let reference_anneal (schedule : Schedule.t) rng state =
+  let module P = Reference_problem in
+  let calibrate fraction =
+    let sum = ref 0. and count = ref 0 in
+    for _ = 1 to 200 do
+      let d = P.delta state (P.random_move rng state) in
+      if d > 0. then begin
+        sum := !sum +. d;
+        incr count
+      end
+    done;
+    if !count = 0 then 1.0 else -.(!sum /. float_of_int !count) /. log fraction
+  in
+  let t0 =
+    match schedule.Schedule.initial_temperature with
+    | Schedule.Fixed_temperature t -> t
+    | Schedule.Calibrate fraction -> calibrate fraction
+  in
+  let temperature = ref t0 in
+  let best = ref (P.snapshot state) in
+  let best_cost = ref (if P.feasible state then P.cost state else infinity) in
+  let have_best = ref (P.feasible state) in
+  let attempted = ref 0 and accepted = ref 0 and uphill = ref 0 in
+  let cold_streak = ref 0 and temperatures = ref 0 and frozen = ref false in
+  let plateaus = ref [] in
+  let trials_per_temp = schedule.Schedule.size_factor * max 1 (P.size state) in
+  let acceptance_budget =
+    if schedule.Schedule.cutoff >= 1. then trials_per_temp + 1
+    else max 1 (int_of_float (schedule.Schedule.cutoff *. float_of_int trials_per_temp))
+  in
+  while
+    (not !frozen)
+    && !temperatures < schedule.Schedule.max_temperatures
+    && !temperature > schedule.Schedule.min_temperature
+  do
+    let accepted_here = ref 0 and attempted_here = ref 0 and uphill_here = ref 0 in
+    let improved_best = ref false in
+    while !attempted_here < trials_per_temp && !accepted_here < acceptance_budget do
+      incr attempted_here;
+      let mv = P.random_move rng state in
+      let d = P.delta state mv in
+      let accept = d <= 0. || Rng.float rng 1.0 < exp (-.d /. !temperature) in
+      incr attempted;
+      if accept then begin
+        P.apply state mv;
+        incr accepted;
+        incr accepted_here;
+        if d > 0. then begin
+          incr uphill;
+          incr uphill_here
+        end;
+        if P.feasible state then begin
+          let c = P.cost state in
+          if (not !have_best) || c < !best_cost then begin
+            best := P.snapshot state;
+            best_cost := c;
+            have_best := true;
+            improved_best := true
+          end
+        end
+      end
+    done;
+    incr temperatures;
+    let acceptance = float_of_int !accepted_here /. float_of_int !attempted_here in
+    plateaus :=
+      {
+        Sa.temperature = !temperature;
+        p_attempted = !attempted_here;
+        p_accepted = !accepted_here;
+        p_accepted_uphill = !uphill_here;
+        p_accepted_downhill = !accepted_here - !uphill_here;
+        p_rejected = !attempted_here - !accepted_here;
+        acceptance;
+        p_best_cost = !best_cost;
+        improved_best = !improved_best;
+      }
+      :: !plateaus;
+    if acceptance < schedule.Schedule.min_acceptance && not !improved_best then
+      incr cold_streak
+    else cold_streak := 0;
+    if !cold_streak >= schedule.Schedule.frozen_after then frozen := true
+    else temperature := !temperature *. schedule.Schedule.cooling
+  done;
+  ( state,
+    (if !have_best then !best else P.snapshot state),
+    {
+      Sa.temperatures = !temperatures;
+      attempted = !attempted;
+      accepted = !accepted;
+      uphill_accepted = !uphill;
+      initial_temperature = t0;
+      final_temperature = !temperature;
+      frozen = !frozen;
+      plateaus = List.rev !plateaus;
+    } )
+
+(* Sa_bisect.refine of the same vintage. *)
+let reference_refine (config : Sa_bisect.config) rng g side0 =
+  let module P = Reference_problem in
+  let initial_cut = Bisection.compute_cut g side0 in
+  let final, snap, sa = reference_anneal config.Sa_bisect.schedule rng (P.make config g side0) in
+  let snap_balanced = abs (snap.P.c0 - snap.P.c1) <= snap.P.balance_slack in
+  let final_side = Bisection.rebalance g final.P.side in
+  let side, best_was_snapshot =
+    if snap_balanced && Bisection.compute_cut g snap.P.side <= Bisection.compute_cut g final_side
+    then (Array.copy snap.P.side, true)
+    else (final_side, false)
+  in
+  ( side,
+    {
+      Sa_bisect.sa;
+      best_was_snapshot;
+      initial_cut;
+      final_cut = Bisection.compute_cut g side;
+    } )
+
+(* Floats must agree to the bit, not within a tolerance. *)
+let check_bits label a b =
+  Alcotest.(check int64) label (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let check_sa_stats label (e : Sa.stats) (a : Sa.stats) =
+  check_int (label ^ " temperatures") e.Sa.temperatures a.Sa.temperatures;
+  check_int (label ^ " attempted") e.Sa.attempted a.Sa.attempted;
+  check_int (label ^ " accepted") e.Sa.accepted a.Sa.accepted;
+  check_int (label ^ " uphill") e.Sa.uphill_accepted a.Sa.uphill_accepted;
+  check_bits (label ^ " t0") e.Sa.initial_temperature a.Sa.initial_temperature;
+  check_bits (label ^ " t_final") e.Sa.final_temperature a.Sa.final_temperature;
+  check_bool (label ^ " frozen") e.Sa.frozen a.Sa.frozen;
+  check_int (label ^ " plateau count") (List.length e.Sa.plateaus)
+    (List.length a.Sa.plateaus);
+  List.iteri
+    (fun i (p, q) ->
+      let l = Printf.sprintf "%s plateau %d" label i in
+      check_bits (l ^ " temperature") p.Sa.temperature q.Sa.temperature;
+      check_int (l ^ " attempted") p.Sa.p_attempted q.Sa.p_attempted;
+      check_int (l ^ " accepted") p.Sa.p_accepted q.Sa.p_accepted;
+      check_int (l ^ " uphill") p.Sa.p_accepted_uphill q.Sa.p_accepted_uphill;
+      check_int (l ^ " downhill") p.Sa.p_accepted_downhill q.Sa.p_accepted_downhill;
+      check_int (l ^ " rejected") p.Sa.p_rejected q.Sa.p_rejected;
+      check_bits (l ^ " acceptance") p.Sa.acceptance q.Sa.acceptance;
+      check_bits (l ^ " best cost") p.Sa.p_best_cost q.Sa.p_best_cost;
+      check_bool (l ^ " improved") p.Sa.improved_best q.Sa.improved_best)
+    (List.combine e.Sa.plateaus a.Sa.plateaus)
+
+let side_printer = Alcotest.(array int)
+
+(* Run [refine] and the reference on the same input from equal
+   streams; an exception (the empty graph has no move to draw) must be
+   the same one on both sides. *)
+let check_refine_equal label config rng g side0 =
+  let outcome f =
+    match f (Rng.copy rng) with
+    | r -> Ok r
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let expected = outcome (fun r -> reference_refine config r g side0) in
+  let start = Array.copy side0 in
+  let actual = outcome (fun r -> Sa_bisect.refine ~config r g side0) in
+  Alcotest.check side_printer (label ^ " start side untouched") start side0;
+  match (expected, actual) with
+  | Ok (es, est), Ok (side, st) ->
+      Alcotest.check side_printer (label ^ " side") es side;
+      check_bool (label ^ " best_was_snapshot") est.Sa_bisect.best_was_snapshot
+        st.Sa_bisect.best_was_snapshot;
+      check_int (label ^ " initial cut") est.Sa_bisect.initial_cut st.Sa_bisect.initial_cut;
+      check_int (label ^ " final cut") est.Sa_bisect.final_cut st.Sa_bisect.final_cut;
+      check_sa_stats label est.Sa_bisect.sa st.Sa_bisect.sa
+  | Error e, Error a -> Alcotest.(check string) (label ^ " exception") e a
+  | Ok _, Error a -> Alcotest.failf "%s: refine raised %s, the reference did not" label a
+  | Error e, Ok _ -> Alcotest.failf "%s: the reference raised %s, refine did not" label e
+
+let differential_configs =
+  [
+    quick_config;
+    { quick_config with Sa_bisect.imbalance_factor = 0.5 };
+    {
+      quick_config with
+      Sa_bisect.schedule =
+        { Schedule.quick with cutoff = 0.3; initial_temperature = Fixed_temperature 2.0 };
+    };
+  ]
+
+(* A balanced start that depends on the case name alone. *)
+let start_side name g = Helpers.balanced_sides (Rng.create ~seed:(Rng.seed_of_string name)) g
+
+(* A refiner that anneals with Sa_bisect.refine and records each call:
+   inside Compaction.bisect it sees the weighted coarse graph. *)
+let recording_refiner calls : Gbisect.Compaction.refiner =
+ fun rng g side ->
+  calls := (Rng.copy rng, g, Array.copy side) :: !calls;
+  fst (Sa_bisect.refine ~config:quick_config rng g side)
+
+let sa_differential_tests =
+  [
+    case "refine equals the frozen reference on every generator family" (fun () ->
+        List.iter
+          (fun c ->
+            let module G = Gbisect.Fuzz_generators in
+            let g = c.G.graph in
+            let name = Printf.sprintf "%s seed %d" c.G.family c.G.seed in
+            List.iteri
+              (fun i config ->
+                for seed = 1 to 3 do
+                  let label = Printf.sprintf "%s config %d rng %d" name i seed in
+                  check_refine_equal label config (Rng.create ~seed) g (start_side name g)
+                done)
+              differential_configs)
+          (Helpers.family_cases ~per_family:3 ()));
+    case "refine equals the reference on mid-sized graphs" (fun () ->
+        let r = Rng.create ~seed:1989 in
+        List.iter
+          (fun (name, g) ->
+            check_refine_equal name quick_config (Rng.create ~seed:7) g (start_side name g))
+          [
+            ("gnp 400", Gbisect.Gnp.with_average_degree r ~n:400 ~avg_degree:3.0);
+            ("grid 12x15", Classic.grid ~rows:12 ~cols:15);
+            ("gbreg 300", Gbisect.Bregular.generate r Gbisect.Bregular.{ two_n = 300; b = 6; d = 3 });
+          ]);
+    case "the CSA coarse path equals the reference on weighted contracted graphs"
+      (fun () ->
+        let r = Rng.create ~seed:31 in
+        List.iter
+          (fun (name, g) ->
+            let calls = ref [] in
+            let b, _ =
+              Gbisect.Compaction.bisect ~refiner:(recording_refiner calls) (Rng.create ~seed:5) g
+            in
+            let reference : Gbisect.Compaction.refiner =
+             fun rng g side -> fst (reference_refine quick_config rng g side)
+            in
+            let rb, _ = Gbisect.Compaction.bisect ~refiner:reference (Rng.create ~seed:5) g in
+            Alcotest.check side_printer (name ^ " csa side") (Bisection.sides rb)
+              (Bisection.sides b);
+            check_int (name ^ " refiner calls") 2 (List.length !calls);
+            List.iteri
+              (fun i (rng, g, side) ->
+                check_refine_equal (Printf.sprintf "%s call %d" name i) quick_config rng g side)
+              !calls)
+          [
+            ("gnp 300 d2.5", Gbisect.Gnp.with_average_degree r ~n:300 ~avg_degree:2.5);
+            ("ladder 60", Classic.ladder 60);
+            ("tree 7", Classic.binary_tree ~depth:7);
+            ( "weighted 40",
+              let edges = ref [] in
+              for u = 0 to 39 do
+                for v = u + 1 to 39 do
+                  if Rng.bernoulli r 0.08 then edges := (u, v, 1 + Rng.int r 5) :: !edges
+                done
+              done;
+              Csr.of_edges ~vertex_weights:(Array.init 40 (fun _ -> 1 + Rng.int r 3)) ~n:40
+                !edges );
+          ]);
+  ]
+
+(* Random flips on a live state, from its own stream. *)
+let random_applies st rng k =
+  for _ = 1 to k do
+    Sa_bisect.Problem.apply st (Sa_bisect.Problem.random_move rng st)
+  done
+
+let gains_exact g st =
+  let side = Sa_bisect.Problem.sides st in
+  let ok = ref true in
+  for v = 0 to Csr.n_vertices g - 1 do
+    if Sa_bisect.Problem.gain st v <> Bisection.gain g side v then ok := false
+  done;
+  let c0, c1 = Bisection.side_counts side in
+  let d = float_of_int (c0 - c1) in
+  let cost =
+    float_of_int (Bisection.compute_cut g side) +. (quick_config.Sa_bisect.imbalance_factor *. d *. d)
+  in
+  !ok && Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float (Sa_bisect.Problem.cost st))
+
+let sa_differential_properties =
+  [
+    Helpers.qtest ~count:200 "cached gains stay exact under random flips"
+      (Helpers.gen_weighted_graph ~max_n:30 ()) (fun g ->
+        let rng = Helpers.rng () in
+        let st = Sa_bisect.Problem.make quick_config g (Helpers.balanced_sides rng g) in
+        let ok = ref (gains_exact g st) in
+        for _ = 1 to 5 do
+          random_applies st rng (1 + Rng.int rng (3 * Csr.n_vertices g));
+          ok := !ok && gains_exact g st
+        done;
+        !ok);
+    Helpers.qtest ~count:100 "refine equals the frozen reference on random graphs"
+      (Helpers.gen_even_graph ~max_n:30 ()) (fun g ->
+        let side0 = Helpers.balanced_sides (Helpers.rng ()) g in
+        let es, est = reference_refine quick_config (Rng.create ~seed:3) g side0 in
+        let side, st = Sa_bisect.refine ~config:quick_config (Rng.create ~seed:3) g side0 in
+        side = es
+        && est.Sa_bisect.best_was_snapshot = st.Sa_bisect.best_was_snapshot
+        && est.Sa_bisect.sa.Sa.attempted = st.Sa_bisect.sa.Sa.attempted
+        && est.Sa_bisect.sa.Sa.accepted = st.Sa_bisect.sa.Sa.accepted);
+  ]
+
+let save_tests =
+  let module P = Sa_bisect.Problem in
+  let setup () =
+    let g = Classic.grid ~rows:6 ~cols:7 in
+    let rng = Helpers.rng () in
+    let st = P.make quick_config g (Helpers.balanced_sides rng g) in
+    (g, rng, st)
+  in
+  [
+    case "the saved best survives later moves of the live state" (fun () ->
+        let _, rng, st = setup () in
+        let best = P.snapshot st in
+        random_applies st rng 25;
+        P.save ~src:st ~dst:best;
+        let saved_sides = P.sides best and saved_cost = P.cost best in
+        let saved_feasible = P.feasible best in
+        Alcotest.check side_printer "save copies the sides" (P.sides st) saved_sides;
+        check_bits "save copies the cost" (P.cost st) saved_cost;
+        random_applies st rng 25;
+        check_bool "live state moved" false (P.sides st = saved_sides);
+        Alcotest.check side_printer "saved sides unchanged" saved_sides (P.sides best);
+        check_bits "saved cost unchanged" saved_cost (P.cost best);
+        check_bool "saved feasibility unchanged" saved_feasible (P.feasible best));
+    case "save allocates nothing" (fun () ->
+        let _, rng, st = setup () in
+        let best = P.snapshot st in
+        random_applies st rng 10;
+        let w0 = Gc.minor_words () in
+        P.save ~src:st ~dst:best;
+        let w1 = Gc.minor_words () in
+        Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0));
+    case "a snapshot cannot be stepped or saved into a live state" (fun () ->
+        let _, _, st = setup () in
+        let snap = P.snapshot st in
+        let stepped = Invalid_argument "Sa_bisect.Problem: a snapshot cannot be stepped" in
+        Alcotest.check_raises "delta" stepped (fun () -> ignore (P.delta snap 0));
+        Alcotest.check_raises "apply" stepped (fun () -> P.apply snap 0);
+        Alcotest.check_raises "gain" stepped (fun () -> ignore (P.gain snap 0));
+        Alcotest.check_raises "live destination"
+          (Invalid_argument "Sa_bisect.Problem.save: the destination is not a snapshot")
+          (fun () -> P.save ~src:snap ~dst:st);
+        let other = P.snapshot (P.make quick_config (Classic.path 4) [| 0; 1; 0; 1 |]) in
+        Alcotest.check_raises "size mismatch"
+          (Invalid_argument "Sa_bisect.Problem.save: states of different graphs")
+          (fun () -> P.save ~src:st ~dst:other));
+    case "the engine snapshots once and saves each new best in place" (fun () ->
+        let module Counting = struct
+          include Toy
+
+          let snapshots = ref 0
+          let saves = ref 0
+
+          let snapshot st =
+            incr snapshots;
+            Toy.snapshot st
+
+          let save ~src ~dst =
+            incr saves;
+            Toy.save ~src ~dst
+        end in
+        let module E = Sa.Make (Counting) in
+        let rng = Helpers.rng () in
+        let result = E.run rng (toy_state rng 40) in
+        check_int "one snapshot" 1 !Counting.snapshots;
+        check_bool "saves happened" true (!Counting.saves > 0);
+        let improvements =
+          List.length
+            (List.filter (fun p -> p.Sa.improved_best) result.E.stats.Sa.plateaus)
+        in
+        check_bool "at least one save per improving plateau" true
+          (!Counting.saves >= improvements);
+        Alcotest.(check (float 0.)) "best is optimal" 0. (Toy.cost result.E.best));
+  ]
+
 let () =
   Alcotest.run "anneal"
     [
@@ -323,4 +762,7 @@ let () =
       ("sa_bisect properties", sa_bisect_properties);
       ("cutoff", cutoff_tests);
       ("threshold accepting", threshold_tests);
+      ("sa differential", sa_differential_tests);
+      ("sa diff properties", sa_differential_properties);
+      ("sa save", save_tests);
     ]
