@@ -2,7 +2,8 @@
 
    Subcommands:
      gen      generate a graph (random model or classic family) to a file
-     solve    bisect a graph file with any of the six algorithms
+     solve    bisect a graph file with any of the eight algorithms
+     race     race a portfolio of algorithms on one graph, keep the best cut
      kway     k-way partition by recursive bisection
      netlist  bisect a hypergraph netlist (true net-cut objective)
      table    regenerate one of the paper's tables (see `table --list`)
@@ -175,57 +176,51 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* solve                                                               *)
 
-let parse_algorithm s =
-  match String.lowercase_ascii s with
-  | "kl" -> Ok `Kl
-  | "sa" -> Ok `Sa
-  | "ckl" -> Ok `Ckl
-  | "csa" -> Ok `Csa
-  | "fm" -> Ok `Fm
-  | "mlkl" | "multilevel" -> Ok `Multilevel
-  | "mlfm" -> Ok `Mlfm
-  | "xsa" -> Ok `Xsa
-  | _ -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
+(* Every -a/--algorithm option and --portfolio entry takes any id of
+   the solver registry; the help text and the error list come from it. *)
+let algorithm_ids = String.concat ", " (List.map Gbisect.Solvers.id Gbisect.Solvers.all)
 
-let algorithm_conv =
-  let print fmt a = Format.pp_print_string fmt (Gbisect.algorithm_name a) in
-  Arg.conv (parse_algorithm, print)
+let algorithm_term ~default what =
+  let algorithm_conv =
+    Arg.conv
+      ( (fun s ->
+          Option.to_result ~none:(`Msg (Gbisect.Solvers.unknown s)) (Gbisect.Solvers.of_id s)),
+        fun fmt a -> Format.pp_print_string fmt (Gbisect.Solvers.id a) )
+  in
+  let doc = Printf.sprintf "%s: %s." what algorithm_ids in
+  Arg.(value & opt algorithm_conv default & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
+
+let int_term name default doc = Arg.(value & opt int default & info [ name ] ~docv:"INT" ~doc)
+
+(* The multilevel knobs as one Solvers.ml_config: the coarsening shape
+   here, plus the one field [extra] sets (solve's --ml-coarse-starts,
+   scale's --refine-passes). *)
+let ml_term (default : Gbisect.ml_config) extra =
+  Term.(
+    const (fun min_vertices max_levels set -> set { default with min_vertices; max_levels })
+    $ int_term "ml-min-vertices" default.min_vertices
+        "Multilevel (mlkl/mlfm): stop coarsening below this many vertices."
+    $ int_term "ml-max-levels" default.max_levels
+        "Multilevel (mlkl/mlfm): maximum coarsening depth."
+    $ extra)
 
 let solve_cmd =
   let file =
     let doc = "Graph file (edge list, or METIS if named *.graph)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc)
   in
-  let algorithm =
-    let doc = "Algorithm: kl, sa, ckl, csa, fm, mlkl, mlfm, xsa." in
-    Arg.(value & opt algorithm_conv `Ckl & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
-  in
+  let algorithm = algorithm_term ~default:`Ckl "Algorithm" in
   let starts =
     let doc = "Number of random starts (best is kept)." in
     Arg.(value & opt int 2 & info [ "starts" ] ~docv:"INT" ~doc)
   in
-  let ml_min_vertices =
-    let doc = "Multilevel (mlkl/mlfm): stop coarsening below this many vertices." in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.min_vertices
-      & info [ "ml-min-vertices" ] ~docv:"INT" ~doc)
-  in
-  let ml_max_levels =
-    let doc = "Multilevel (mlkl/mlfm): maximum coarsening depth." in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.max_levels
-      & info [ "ml-max-levels" ] ~docv:"INT" ~doc)
-  in
-  let ml_coarse_starts =
-    let doc =
-      "Multilevel (mlkl/mlfm): best-of-k initial partitions at the coarsest level."
-    in
-    Arg.(
-      value
-      & opt int Gbisect.default_ml_config.Gbisect.coarse_starts
-      & info [ "ml-coarse-starts" ] ~docv:"INT" ~doc)
+  let ml =
+    let default = Gbisect.default_ml_config in
+    ml_term default
+      Term.(
+        const (fun coarse_starts ml -> { ml with Gbisect.coarse_starts })
+        $ int_term "ml-coarse-starts" default.coarse_starts
+            "Multilevel (mlkl/mlfm): best-of-k initial partitions at the coarsest level.")
   in
   let max_rss =
     let doc =
@@ -238,19 +233,11 @@ let solve_cmd =
     let doc = "Also write a DOT rendering with the cut highlighted." in
     Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"FILE" ~doc)
   in
-  let run file algorithm starts ml_min_vertices ml_max_levels ml_coarse_starts max_rss seed
-      dot trace metrics jobs =
+  let run file algorithm starts ml max_rss seed dot trace metrics jobs =
     runtime_guard @@ fun () ->
     apply_jobs jobs;
     let graph = read_graph file in
     let rng = Gbisect.Rng.create ~seed in
-    let ml =
-      {
-        Gbisect.min_vertices = ml_min_vertices;
-        max_levels = ml_max_levels;
-        coarse_starts = ml_coarse_starts;
-      }
-    in
     let result =
       with_obs ~trace ~metrics (fun () -> Gbisect.solve ~algorithm ~starts ~ml rng graph)
     in
@@ -265,7 +252,7 @@ let solve_cmd =
     | _ -> ());
     let bisection = result.Gbisect.bisection in
     Printf.printf "%s on %s: cut %d (%d+%d vertices), %.3fs\n"
-      (Gbisect.algorithm_name algorithm)
+      (Gbisect.Solvers.name algorithm)
       file
       (Gbisect.Bisection.cut bisection)
       (fst (Gbisect.Bisection.counts bisection))
@@ -286,8 +273,8 @@ let solve_cmd =
   let info = Cmd.info "solve" ~doc:"Bisect a graph file." in
   Cmd.v info
     Term.(
-      const run $ file $ algorithm $ starts $ ml_min_vertices $ ml_max_levels
-      $ ml_coarse_starts $ max_rss $ seed_term $ dot $ trace_term $ metrics_term
+      const run $ file $ algorithm $ starts $ ml $ max_rss $ seed_term $ dot $ trace_term
+      $ metrics_term
       $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
@@ -300,15 +287,13 @@ let race_cmd =
   in
   let portfolio =
     let doc =
-      "Comma-separated backends to race (kl, sa, ckl, csa, fm, mlkl, mlfm, xsa). \
-       The list order is the tie-break order: equal cuts go to the earliest \
-       backend, never to wall-clock, so the output is byte-identical at any \
-       --jobs value."
+      Printf.sprintf
+        "Comma-separated backends to race (%s). The list order is the tie-break \
+         order: equal cuts go to the earliest backend, never to wall-clock, so the \
+         output is byte-identical at any --jobs value."
+        algorithm_ids
     in
-    let default =
-      String.concat ","
-        (List.map Gbisect.Serve_protocol.algorithm_id Gbisect.default_portfolio)
-    in
+    let default = String.concat "," (List.map Gbisect.Solvers.id Gbisect.default_portfolio) in
     Arg.(value & opt string default & info [ "portfolio" ] ~docv:"LIST" ~doc)
   in
   let starts =
@@ -323,9 +308,9 @@ let race_cmd =
       |> List.map String.trim
       |> List.filter (fun s -> s <> "")
       |> List.map (fun s ->
-             match parse_algorithm s with
-             | Ok a -> a
-             | Error (`Msg m) -> usage_error m)
+             match Gbisect.Solvers.of_id s with
+             | Some a -> a
+             | None -> usage_error (Gbisect.Solvers.unknown s))
     in
     if portfolio = [] then usage_error "empty --portfolio";
     let graph = read_graph file in
@@ -378,23 +363,12 @@ let kway_cmd =
     let doc = "Number of parts (a power of two)." in
     Arg.(value & opt int 4 & info [ "k" ] ~docv:"INT" ~doc)
   in
-  let algorithm =
-    let doc = "Per-level bisection solver: kl, ckl, fm, mlkl, mlfm, xsa." in
-    Arg.(value & opt string "ckl" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
-  in
-  let run file k algorithm seed =
+  let algorithm = algorithm_term ~default:`Ckl "Per-level bisection solver" in
+  let run file k algorithm seed jobs =
     runtime_guard @@ fun () ->
+    apply_jobs jobs;
     let graph = read_graph file in
-    let solver =
-      match String.lowercase_ascii algorithm with
-      | "kl" -> Gbisect.Kway.of_algorithm `Kl
-      | "ckl" -> Gbisect.Kway.of_algorithm `Ckl
-      | "fm" -> Gbisect.Kway.of_algorithm `Fm
-      | "mlkl" | "multilevel" -> Gbisect.Kway.of_algorithm `Multilevel
-      | "mlfm" -> Gbisect.Kway.of_algorithm `Mlfm
-      | "xsa" -> Gbisect.Kway.of_algorithm `Xsa
-      | other -> failwith (Printf.sprintf "unknown solver %S" other)
-    in
+    let solver = Gbisect.Solvers.kway_solver algorithm in
     let rng = Gbisect.Rng.create ~seed in
     let result = Gbisect.Kway.partition ~k ~solver rng graph in
     Gbisect.Kway.validate graph result;
@@ -405,7 +379,7 @@ let kway_cmd =
     Array.iteri (fun p s -> Printf.printf "  part %d: %d vertices\n" p s) sizes
   in
   let info = Cmd.info "kway" ~doc:"Partition a graph into k parts by recursive bisection." in
-  Cmd.v info Term.(const run $ file $ k $ algorithm $ seed_term)
+  Cmd.v info Term.(const run $ file $ k $ algorithm $ seed_term $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* netlist                                                             *)
@@ -765,24 +739,16 @@ let scale_cmd =
     Arg.(
       value & opt (some (pair ~sep:'x' int int)) None & info [ "grid" ] ~docv:"RxC" ~doc)
   in
-  let algorithm_term =
-    let doc = "Solver: mlkl, mlfm, fm, kl." in
-    Arg.(value & opt string "mlfm" & info [ "a"; "algorithm" ] ~docv:"ALGO" ~doc)
-  in
-  let ml_min_vertices_term =
-    let doc = "Multilevel coarsening floor." in
-    Arg.(value & opt int 64 & info [ "ml-min-vertices" ] ~docv:"INT" ~doc)
-  in
-  let ml_max_levels_term =
-    let doc = "Multilevel maximum coarsening depth." in
-    Arg.(value & opt int 20 & info [ "ml-max-levels" ] ~docv:"INT" ~doc)
-  in
-  let refine_passes_term =
-    let doc =
-      "Per-level refinement pass cap for the multilevel solvers (unbounded \
-       refinement is superlinear in the instance size for <2% extra cut)."
-    in
-    Arg.(value & opt int 4 & info [ "refine-passes" ] ~docv:"INT" ~doc)
+  let algorithm_term = algorithm_term ~default:`Mlfm "Solver" in
+  let ml_term =
+    let default = Gbisect.Scale_suite.default_ml_config in
+    ml_term default
+      Term.(
+        const (fun refine_passes ml -> { ml with Gbisect.refine_passes })
+        $ int_term "refine-passes" default.refine_passes
+            "Sets ml_config.refine_passes: the per-level KL/FM pass cap of mlkl and \
+             mlfm. Refining to quiescence (solve's 50) is superlinear in the instance \
+             size for <2% extra cut.")
   in
   let max_rss_term =
     let doc = "Fail (exit 1) if peak RSS exceeds this many mebibytes." in
@@ -799,19 +765,12 @@ let scale_cmd =
     let doc = "Print the artifact as one-line JSON on stdout instead of a summary." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run n degree grid algorithm ml_min_vertices ml_max_levels refine_passes max_rss
-      out json seed =
-    let algorithm =
-      match Gbisect.Scale_suite.algorithm_of_id algorithm with
-      | Some a -> a
-      | None ->
-          usage_error
-            (Printf.sprintf "unknown algorithm %S (mlkl mlfm fm kl)" algorithm)
-    in
+  let run n degree grid algorithm ml max_rss out json seed jobs =
     if n < 2 then usage_error "--n expects at least 2 vertices";
     if degree <= 0. then usage_error "--degree expects a positive average degree";
-    if refine_passes < 1 then usage_error "--refine-passes expects at least 1";
+    if ml.Gbisect.refine_passes < 1 then usage_error "--refine-passes expects at least 1";
     runtime_guard @@ fun () ->
+    apply_jobs jobs;
     (* lint: allow no-wall-clock — throughput needs the real clock; installed once at startup *)
     Gbisect.Obs.Clock.set Unix.gettimeofday;
     let model =
@@ -819,10 +778,7 @@ let scale_cmd =
       | Some (rows, cols) -> Gbisect.Scale_suite.Grid { rows; cols }
       | None -> Gbisect.Scale_suite.Gnp { n; avg_degree = degree }
     in
-    let result =
-      Gbisect.Scale_suite.run ~ml_min_vertices ~ml_max_levels ~refine_passes ~algorithm
-        ~seed model
-    in
+    let result = Gbisect.Scale_suite.run ~ml ~algorithm ~seed model in
     (match out with
     | None -> ()
     | Some path ->
@@ -847,15 +803,15 @@ let scale_cmd =
     Cmd.info "scale"
       ~doc:
         "Build one large synthetic instance (Gnp by default, --grid for meshes), \
-         bisect it with a scale-suitable solver, and report end-to-end throughput \
-         and peak RSS as the schema-versioned BENCH_scale artifact. Exits 0 on a \
-         balanced result within the optional --max-rss budget, 1 otherwise."
+         bisect it with any registered solver (mlfm by default), and report \
+         end-to-end throughput and peak RSS as the schema-versioned BENCH_scale \
+         artifact. Exits 0 on a balanced result within the optional --max-rss \
+         budget, 1 otherwise."
   in
   Cmd.v info
     Term.(
-      const run $ n_term $ degree_term $ grid_term $ algorithm_term
-      $ ml_min_vertices_term $ ml_max_levels_term $ refine_passes_term $ max_rss_term
-      $ out_term $ json_term $ seed_term)
+      const run $ n_term $ degree_term $ grid_term $ algorithm_term $ ml_term
+      $ max_rss_term $ out_term $ json_term $ seed_term $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)

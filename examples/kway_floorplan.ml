@@ -14,7 +14,7 @@ let describe name graph ~k rng =
   List.iter
     (fun (solver_name, algorithm) ->
       let result =
-        Gbisect.Kway.partition ~k ~solver:(Gbisect.Kway.of_algorithm algorithm) rng graph
+        Gbisect.Kway.partition ~k ~solver:(Gbisect.Solvers.kway_solver algorithm) rng graph
       in
       Gbisect.Kway.validate graph result;
       let sizes = Gbisect.Kway.part_sizes result in
@@ -42,7 +42,7 @@ let () =
      how pure each quadrant of the actual grid is under the KL flow. *)
   let graph = Gbisect.Classic.grid_of_side 32 in
   let result =
-    Gbisect.Kway.partition ~k:4 ~solver:(Gbisect.Kway.of_algorithm `Kl) rng graph
+    Gbisect.Kway.partition ~k:4 ~solver:(Gbisect.Solvers.kway_solver `Kl) rng graph
   in
   let majority = Hashtbl.create 4 in
   for r = 0 to 31 do

@@ -22,7 +22,7 @@ let () =
     (fun algorithm ->
       let result = Gbisect.solve ~algorithm ~starts:2 rng graph in
       Format.printf "  %-4s cut %4d  (%.3fs)@."
-        (Gbisect.algorithm_name algorithm)
+        (Gbisect.Solvers.name algorithm)
         (Gbisect.Bisection.cut result.Gbisect.bisection)
         result.Gbisect.seconds)
     [ `Sa; `Kl; `Csa; `Ckl ];

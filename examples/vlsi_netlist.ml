@@ -69,7 +69,7 @@ let () =
       let result = Gbisect.solve ~algorithm ~starts:2 rng netlist in
       let cut = Gbisect.Bisection.cut result.Gbisect.bisection in
       Format.printf "  %-4s placement: %4d crossing wires (%.3fs)@."
-        (Gbisect.algorithm_name algorithm)
+        (Gbisect.Solvers.name algorithm)
         cut result.Gbisect.seconds)
     [ `Kl; `Ckl; `Sa; `Csa; `Multilevel ];
 

@@ -18,6 +18,7 @@ module Sa_bisect = Gb_anneal.Sa_bisect
 module Threshold = Gb_anneal.Threshold
 module Compaction = Gb_compaction.Compaction
 module Xsa = Gb_race.Xsa
+module Solvers = Gb_solvers.Solvers
 module Json = Gb_obs.Json
 module Telemetry = Gb_obs.Telemetry
 module Store = Gb_store.Store
@@ -97,46 +98,39 @@ let verify_run g b =
 
 (* {1 Solver oracles} *)
 
-(* Every end-to-end solver, with the final cut it reports in its own
-   stats (when it reports one) so the differential "reported vs naive
-   recompute" comparison catches stale accounting. *)
-let solvers : (string * (Rng.t -> Csr.t -> Bisection.t * int option)) list =
-  [
-    ( "kl",
+(* Every registered solver, plus the two baselines outside the
+   registry, with the final cut it reports in its own stats (when it
+   reports one) so the differential "reported vs naive recompute"
+   comparison catches stale accounting. The match is exhaustive, so a
+   new registry constructor does not compile until it is covered here. *)
+let registered : Solvers.algorithm -> Rng.t -> Csr.t -> Bisection.t * int option =
+  let compacted (b, s) = (b, Some s.Compaction.final_cut) in
+  let multilevel refiner rng g = compacted (Compaction.recursive ~refiner rng g) in
+  function
+  | `Kl ->
       fun rng g ->
         let b, s = Kl.run rng g in
-        (b, Some s.Kl.final_cut) );
-    ( "fm",
-      fun rng g ->
-        let b, s = Fm.run rng g in
-        (b, Some s.Fm.final_cut) );
-    ( "sa",
+        (b, Some s.Kl.final_cut)
+  | `Sa ->
       fun rng g ->
         let b, s = Sa_bisect.run ~config:quick_sa rng g in
-        (b, Some s.Sa_bisect.final_cut) );
-    ( "threshold",
+        (b, Some s.Sa_bisect.final_cut)
+  | `Ckl -> fun rng g -> compacted (Compaction.ckl rng g)
+  | `Csa -> fun rng g -> compacted (Compaction.csa ~config:quick_sa rng g)
+  | `Fm ->
       fun rng g ->
-        let b, _ = Threshold.run ~schedule:quick_threshold rng g in
-        (b, None) );
-    ( "ckl",
-      fun rng g ->
-        let b, s = Compaction.ckl rng g in
-        (b, Some s.Compaction.final_cut) );
-    ( "csa",
-      fun rng g ->
-        let b, s = Compaction.csa ~config:quick_sa rng g in
-        (b, Some s.Compaction.final_cut) );
-    ("spectral", fun _rng g -> (Spectral.bisect g, None));
-    ("xsa", fun rng g -> (fst (Xsa.run ~config:quick_xsa rng g), None));
-    ( "multilevel-kl",
-      fun rng g ->
-        let b, s = Compaction.recursive ~refiner:(Compaction.kl_refiner ()) rng g in
-        (b, Some s.Compaction.final_cut) );
-    ( "multilevel-fm",
-      fun rng g ->
-        let b, s = Compaction.recursive ~refiner:(Compaction.fm_refiner ()) rng g in
-        (b, Some s.Compaction.final_cut) );
-  ]
+        let b, s = Fm.run rng g in
+        (b, Some s.Fm.final_cut)
+  | `Multilevel -> multilevel (Compaction.kl_refiner ())
+  | `Mlfm -> multilevel (Compaction.fm_refiner ())
+  | `Xsa -> fun rng g -> (fst (Xsa.run ~config:quick_xsa rng g), None)
+
+let solvers =
+  List.map (fun a -> (Solvers.id a, registered a)) Solvers.all
+  @ [
+      ("threshold", fun rng g -> (fst (Threshold.run ~schedule:quick_threshold rng g), None));
+      ("spectral", fun _rng g -> (Spectral.bisect g, None));
+    ]
 
 let solver_cut rng g =
   let exact =
@@ -734,11 +728,6 @@ let codec_roundtrip rng g =
 
 (* {1 Serving protocol round-trips} *)
 
-(* Every wire algorithm; test_serve checks it against the full
-   constructor list, so a new backend cannot skip this oracle. *)
-let serve_codec_algorithms : Serve_protocol.algorithm array =
-  [| `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel; `Mlfm; `Xsa |]
-
 (* Law (SERVING.md): every request/response value renders to one line
    that parses back to the identical value — over arbitrary corpus
    graphs as payloads, every algorithm, every error code, and ids
@@ -748,7 +737,7 @@ let serve_codec_algorithms : Serve_protocol.algorithm array =
 let serve_codec rng g =
   let module P = Serve_protocol in
   let gen_id rng = if Rng.bool rng then Some (gen_string rng) else None in
-  let algorithms = serve_codec_algorithms in
+  let algorithms = Array.of_list Solvers.all in
   let codes =
     [| P.Bad_request; P.Unsupported; P.Too_large; P.Overloaded; P.Shutting_down;
        P.Internal |]

@@ -39,10 +39,6 @@ val broken : t
     report it on essentially every graph with an edge and shrink the
     counterexample to a single edge. Never part of {!all}. *)
 
-val serve_codec_algorithms : Gb_serve.Protocol.algorithm array
-(** The algorithms the [serve-codec] oracle draws its solve requests
-    from: every {!Gb_serve.Protocol.algorithm} constructor. *)
-
 val run : t -> seed:int -> Gb_graph.Csr.t -> (unit, string) result
 (** [run oracle ~seed g]: [Ok ()] when the graph is outside the
     oracle's domain or the property holds; [Error message] otherwise.

@@ -34,6 +34,7 @@ module Compaction = Gb_compaction.Compaction
 module Kway = Gb_compaction.Kway
 module Xsa = Gb_race.Xsa
 module Race = Gb_race.Race
+module Solvers = Gb_solvers.Solvers
 module Hgraph = Gb_hyper.Hgraph
 module Hfm = Gb_hyper.Hfm
 module Expansion = Gb_hyper.Expansion
@@ -63,53 +64,23 @@ module Experiment_table = Gb_experiments.Table
 module Perf_suite = Gb_experiments.Perf_suite
 module Scale_suite = Gb_experiments.Scale_suite
 
-type algorithm = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
+type algorithm = Solvers.algorithm
 
-let algorithm_name = function
-  | `Kl -> "KL"
-  | `Sa -> "SA"
-  | `Ckl -> "CKL"
-  | `Csa -> "CSA"
-  | `Fm -> "FM"
-  | `Multilevel -> "MLKL"
-  | `Mlfm -> "MLFM"
-  | `Xsa -> "XSA"
+type ml_config = Solvers.ml_config = {
+  min_vertices : int;
+  max_levels : int;
+  coarse_starts : int;
+  refine_passes : int;
+}
 
-type ml_config = { min_vertices : int; max_levels : int; coarse_starts : int }
-
-let default_ml_config = { min_vertices = 64; max_levels = 20; coarse_starts = 1 }
+let default_ml_config = Solvers.default_ml_config
 
 type result = { bisection : Bisection.t; algorithm : algorithm; seconds : float }
-
-let run_once ?(ml = default_ml_config) algorithm rng g =
-  let recursive refiner rng g =
-    fst
-      (Compaction.recursive ~min_vertices:ml.min_vertices ~max_levels:ml.max_levels
-         ~coarse_starts:ml.coarse_starts ~refiner rng g)
-  in
-  match algorithm with
-  | `Kl -> fst (Kl.run rng g)
-  | `Sa -> fst (Sa_bisect.run rng g)
-  | `Ckl -> fst (Compaction.ckl rng g)
-  | `Csa -> fst (Compaction.csa rng g)
-  | `Fm -> fst (Fm.run rng g)
-  | `Multilevel -> recursive (Compaction.kl_refiner ()) rng g
-  | `Mlfm -> recursive (Compaction.fm_refiner ()) rng g
-  | `Xsa -> fst (Xsa.run rng g)
 
 let solve ?(algorithm = `Ckl) ?(starts = 2) ?ml rng g =
   if starts < 1 then invalid_arg "Gbisect.solve: starts must be >= 1";
   let t0 = Obs.Clock.now () in
-  (* Starts run on the ambient pool (--jobs) with per-start substreams,
-     so the result is bit-identical at any job count; ties between
-     equal cuts go to the lowest start index, like the sequential loop. *)
-  let base = Rng.derive_seed rng in
-  let best =
-    Pool.best_by (Pool.current ())
-      ~compare:(fun a b -> Int.compare (Bisection.cut a) (Bisection.cut b))
-      (fun i -> run_once ?ml algorithm (Rng.substream ~base i) g)
-      starts
-  in
+  let best = Solvers.best_of ?ml ~starts algorithm rng g in
   { bisection = best; algorithm; seconds = Obs.Clock.now () -. t0 }
 
 (* The portfolio order is part of the determinism contract: backend i
@@ -125,7 +96,7 @@ let race ?(portfolio = default_portfolio) ?(starts = 1) ?ml rng g =
     List.map
       (fun a ->
         {
-          Race.name = Serve_protocol.algorithm_id a;
+          Race.name = Solvers.id a;
           solve =
             (fun rng g -> (solve ~algorithm:a ~starts ?ml rng g).bisection);
         })

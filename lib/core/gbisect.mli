@@ -70,6 +70,11 @@ module Race = Gb_race.Race
 (** Deterministic algorithm portfolio racing — the engine behind
     {!race} and [gbisect race]. *)
 
+module Solvers = Gb_solvers.Solvers
+(** The solver registry: the algorithm list, ids and names, and the one
+    runner {!solve}, {!race}, [gbisect kway]/[scale], the serve daemon
+    and the fuzz oracles dispatch through. *)
+
 
 (** {1 Hypergraphs (VLSI netlists; extension)} *)
 
@@ -192,32 +197,21 @@ module Scale_suite = Gb_experiments.Scale_suite
 
 (** {1 One-call interface} *)
 
-type algorithm =
-  [ `Kl  (** Kernighan-Lin *)
-  | `Sa  (** simulated annealing *)
-  | `Ckl  (** compacted KL — the paper's winner on sparse graphs *)
-  | `Csa  (** compacted SA *)
-  | `Fm  (** Fiduccia-Mattheyses (extension) *)
-  | `Multilevel  (** recursive compaction over KL (extension) *)
-  | `Mlfm
-    (** recursive compaction over FM — linear-time passes, the
-        refiner of choice on million-edge instances (extension) *)
-  | `Xsa
-    (** replica-exchange SA — K tempered chains with deterministic
-        seed-derived swap schedules, run on the ambient {!Pool}
-        (extension; see {!Xsa}) *) ]
+type algorithm = Solvers.algorithm
+(** See {!Solvers} for the constructors, their ids and how to register
+    a new one. *)
 
-val algorithm_name : algorithm -> string
-
-type ml_config = { min_vertices : int; max_levels : int; coarse_starts : int }
-(** Knobs of the multilevel V-cycle ([`Multilevel] and [`Mlfm]):
-    coarsening floor, maximum coarsening depth, and best-of-k initial
-    partitions at the coarsest level. See
-    {!Gb_compaction.Compaction.recursive}. *)
+type ml_config = Solvers.ml_config = {
+  min_vertices : int;
+  max_levels : int;
+  coarse_starts : int;
+  refine_passes : int;
+}
+(** Knobs of the multilevel V-cycle ([`Multilevel] and [`Mlfm]); see
+    {!Gb_solvers.Solvers.ml_config}. *)
 
 val default_ml_config : ml_config
-(** [{ min_vertices = 64; max_levels = 20; coarse_starts = 1 }] — the
-    defaults of {!Gb_compaction.Compaction.recursive}. *)
+(** {!Gb_solvers.Solvers.default_ml_config}. *)
 
 type result = {
   bisection : Gb_partition.Bisection.t;
@@ -245,7 +239,7 @@ val solve :
     gets the stream [Rng.substream ~base i] where [base] is drawn from
     [rng] with {!Gb_prng.Rng.derive_seed}, and equal cuts resolve to
     the lowest start index — so the chosen bisection is bit-identical
-    at every job count.
+    at every job count (see {!Gb_solvers.Solvers.best_of}).
     @raise Invalid_argument if [starts < 1]. *)
 
 val default_portfolio : algorithm list

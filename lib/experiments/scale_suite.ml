@@ -14,7 +14,7 @@ module Classic = Gb_graph.Classic
 module Bitset = Gb_graph.Bitset
 module Gnp = Gb_models.Gnp
 module Bisection = Gb_partition.Bisection
-module Compaction = Gb_compaction.Compaction
+module Solvers = Gb_solvers.Solvers
 module Obs = Gb_obs
 module Json = Gb_obs.Json
 
@@ -22,17 +22,13 @@ let schema_version = 1
 
 type model = Gnp of { n : int; avg_degree : float } | Grid of { rows : int; cols : int }
 
-type algorithm = Mlkl | Mlfm | Fm | Kl
-
-let algorithm_id = function Mlkl -> "mlkl" | Mlfm -> "mlfm" | Fm -> "fm" | Kl -> "kl"
-
-let algorithm_of_id s =
-  match String.lowercase_ascii s with
-  | "mlkl" | "multilevel" -> Some Mlkl
-  | "mlfm" -> Some Mlfm
-  | "fm" -> Some Fm
-  | "kl" -> Some Kl
-  | _ -> None
+(* Bounded per-level refinement: the projected partition is already
+   near-converged at every level, and letting the refiners run to
+   quiescence makes wall time superlinear in the instance size (FM
+   reaches 30+ near-full passes on the finest levels for <2% extra
+   cut). A small constant pass budget is the standard multilevel
+   compromise. *)
+let default_ml_config = { Solvers.default_ml_config with refine_passes = 4 }
 
 let model_to_json = function
   | Gnp { n; avg_degree } ->
@@ -48,7 +44,7 @@ let model_to_json = function
 
 type result = {
   model : model;
-  algorithm : algorithm;
+  algorithm : Solvers.algorithm;
   seed : int;
   n : int;
   m : int;
@@ -65,34 +61,13 @@ let build_graph rng = function
   | Gnp { n; avg_degree } -> Gnp.with_average_degree rng ~n ~avg_degree
   | Grid { rows; cols } -> Classic.grid ~rows ~cols
 
-let run ?(ml_min_vertices = 64) ?(ml_max_levels = 20) ?(refine_passes = 4) ~algorithm
-    ~seed model =
+let run ?(ml = default_ml_config) ~algorithm ~seed model =
   let rng = Rng.create ~seed in
   let t0 = Obs.Clock.now () in
   let g = Obs.Prof.with_span "scale.build" (fun () -> build_graph rng model) in
   let t1 = Obs.Clock.now () in
-  let recursive refiner =
-    let b, stats =
-      Compaction.recursive ~min_vertices:ml_min_vertices ~max_levels:ml_max_levels
-        ~refiner rng g
-    in
-    (b, stats.Compaction.levels)
-  in
-  (* Bounded per-level refinement: the projected partition is already
-     near-converged at every level, and letting the refiners run to
-     quiescence makes wall time superlinear in the instance size (FM
-     reaches 30+ near-full passes on the finest levels for <2% extra
-     cut). A small constant pass budget is the standard multilevel
-     compromise. *)
-  let kl_config = { Gb_kl.Kl.default_config with max_passes = refine_passes } in
-  let fm_config = { Gb_kl.Fm.default_config with max_passes = refine_passes } in
   let bisection, levels =
-    Obs.Prof.with_span "scale.solve" (fun () ->
-        match algorithm with
-        | Mlkl -> recursive (Compaction.kl_refiner ~config:kl_config ())
-        | Mlfm -> recursive (Compaction.fm_refiner ~config:fm_config ())
-        | Fm -> (fst (Gb_kl.Fm.run rng g), 1)
-        | Kl -> (fst (Gb_kl.Kl.run rng g), 1))
+    Obs.Prof.with_span "scale.solve" (fun () -> Solvers.run ~ml algorithm rng g)
   in
   let t2 = Obs.Clock.now () in
   (* Pack the sides into a bitset — n/8 bytes — and cross-check the
@@ -123,7 +98,7 @@ let to_json r =
       ("schema_version", Json.Int schema_version);
       ("host", Json.Obj (Perf_suite.host ()));
       ("model", model_to_json r.model);
-      ("algorithm", Json.String (algorithm_id r.algorithm));
+      ("algorithm", Json.String (Solvers.id r.algorithm));
       ("seed", Json.Int r.seed);
       ("n", Json.Int r.n);
       ("m", Json.Int r.m);
@@ -148,7 +123,7 @@ let render r =
     (* lint: allow no-float-format — display-only console summary, never parsed back *)
     "scale: %s, %d vertices, %d edges: cut %d%s in %.2fs build + %.2fs solve (%d \
      level%s, %.0f edges/s end-to-end, peak RSS %s)"
-    (algorithm_id r.algorithm) r.n r.m r.cut
+    (Solvers.id r.algorithm) r.n r.m r.cut
     (if r.balanced then "" else " (UNBALANCED)")
     r.build_seconds r.solve_seconds r.levels
     (if r.levels = 1 then "" else "s")

@@ -14,14 +14,18 @@ type model =
       (** Erdős–Rényi via the geometric-skip sampler. *)
   | Grid of { rows : int; cols : int }
 
-type algorithm = Mlkl | Mlfm | Fm | Kl
-
-val algorithm_id : algorithm -> string
-val algorithm_of_id : string -> algorithm option
+val default_ml_config : Gb_solvers.Solvers.ml_config
+(** {!Gb_solvers.Solvers.default_ml_config} with [refine_passes = 4]
+    ([gbisect scale --refine-passes] sets the field). Refining every
+    level to quiescence, as [gbisect solve] does, makes solve time
+    superlinear in the instance size: FM runs 30+ near-full passes on
+    the finest levels for under 2% of extra cut quality. The bounded
+    budget is the usual multilevel compromise and what
+    [BENCH_scale.json] records. *)
 
 type result = {
   model : model;
-  algorithm : algorithm;
+  algorithm : Gb_solvers.Solvers.algorithm;
   seed : int;
   n : int;
   m : int;
@@ -35,23 +39,15 @@ type result = {
 }
 
 val run :
-  ?ml_min_vertices:int ->
-  ?ml_max_levels:int ->
-  ?refine_passes:int ->
-  algorithm:algorithm ->
+  ?ml:Gb_solvers.Solvers.ml_config ->
+  algorithm:Gb_solvers.Solvers.algorithm ->
   seed:int ->
   model ->
   result
-(** Build the instance, solve, measure. Deterministic for a fixed
-    (model, algorithm, seed, knobs) apart from the timing fields.
-
-    [refine_passes] (default 4) caps the per-level refinement passes
-    of the multilevel solvers. Unbounded ([until_no_improvement])
-    refinement makes solve time superlinear in the instance size —
-    FM runs 30+ near-full passes on the finest levels — for under 2%
-    of extra cut quality; the bounded default is the usual multilevel
-    compromise and what [BENCH_scale.json] records. The flat [Fm] and
-    [Kl] baselines keep their own defaults. *)
+(** Build the instance, then one {!Gb_solvers.Solvers.run} of
+    [algorithm] (any registered one) on the stream that built it, and
+    measure. [ml] defaults to {!default_ml_config}. Deterministic for a
+    fixed (model, algorithm, seed, ml) apart from the timing fields. *)
 
 val to_json : result -> Gb_obs.Json.t
 (** Adds [schema_version] and the {!Perf_suite.host} fingerprint. *)

@@ -4,6 +4,7 @@
    oracle. *)
 
 module Json = Gb_obs.Json
+module Solvers = Gb_solvers.Solvers
 
 (* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
@@ -56,29 +57,9 @@ end
 (* ------------------------------------------------------------------ *)
 (* Wire vocabularies                                                   *)
 
-type algorithm = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
+type algorithm = Solvers.algorithm
 
-let algorithm_id = function
-  | `Kl -> "kl"
-  | `Sa -> "sa"
-  | `Ckl -> "ckl"
-  | `Csa -> "csa"
-  | `Fm -> "fm"
-  | `Multilevel -> "mlkl"
-  | `Mlfm -> "mlfm"
-  | `Xsa -> "xsa"
-
-let algorithm_of_id s =
-  match String.lowercase_ascii s with
-  | "kl" -> Some `Kl
-  | "sa" -> Some `Sa
-  | "ckl" -> Some `Ckl
-  | "csa" -> Some `Csa
-  | "fm" -> Some `Fm
-  | "mlkl" | "multilevel" -> Some `Multilevel
-  | "mlfm" -> Some `Mlfm
-  | "xsa" -> Some `Xsa
-  | _ -> None
+let algorithm_id = Solvers.id
 
 type graph_format = Edge_list | Metis
 
@@ -302,9 +283,9 @@ let parse_solve id j =
     match Json.member "algorithm" j with
     | None -> Ok `Ckl
     | Some (Json.String s) -> (
-        match algorithm_of_id s with
+        match Solvers.of_id s with
         | Some a -> Ok a
-        | None -> bad "solve: unknown algorithm %S (kl sa ckl csa fm mlkl mlfm xsa)" s)
+        | None -> bad "solve: %s" (Solvers.unknown s))
     | Some _ -> Error (Bad_request, "solve: \"algorithm\" must be a string")
   in
   let* starts = int_field j "starts" 2 in
@@ -358,7 +339,7 @@ let solved_of_json j =
   let* algorithm =
     match Json.member "algorithm" j with
     | Some (Json.String s) -> (
-        match algorithm_of_id s with
+        match Solvers.of_id s with
         | Some a -> Ok a
         | None -> fail "response: unknown algorithm %S" s)
     | _ -> fail "response: missing string field \"algorithm\""

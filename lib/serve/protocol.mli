@@ -41,17 +41,13 @@ end
 
 (** {1 Requests} *)
 
-type algorithm = [ `Kl | `Sa | `Ckl | `Csa | `Fm | `Multilevel | `Mlfm | `Xsa ]
-(** Same constructors as [Gbisect.algorithm]; redeclared so this
-    library does not depend on the umbrella module. *)
+type algorithm = Gb_solvers.Solvers.algorithm
+(** The wire accepts every registered algorithm, by its
+    {!Gb_solvers.Solvers.id} (case-insensitive, via
+    {!Gb_solvers.Solvers.of_id}). *)
 
 val algorithm_id : algorithm -> string
-(** Lowercase wire name: ["kl"], ["sa"], ["ckl"], ["csa"], ["fm"],
-    ["mlkl"]. *)
-
-val algorithm_of_id : string -> algorithm option
-(** Inverse of {!algorithm_id} (case-insensitive; ["multilevel"] is an
-    accepted alias of ["mlkl"]). *)
+(** {!Gb_solvers.Solvers.id}: the lowercase wire name. *)
 
 type graph_format = Edge_list | Metis
 

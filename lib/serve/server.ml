@@ -7,11 +7,7 @@ module Rng = Gb_prng.Rng
 module Gio = Gb_graph.Gio
 module Csr = Gb_graph.Csr
 module Bisection = Gb_partition.Bisection
-module Kl = Gb_kl.Kl
-module Fm = Gb_kl.Fm
-module Sa_bisect = Gb_anneal.Sa_bisect
-module Compaction = Gb_compaction.Compaction
-module Pool = Gb_par.Pool
+module Solvers = Gb_solvers.Solvers
 module Store = Gb_store.Store
 module Metrics = Gb_obs.Metrics
 module Trace = Gb_obs.Trace
@@ -142,30 +138,6 @@ let count_failure t code =
 (* ------------------------------------------------------------------ *)
 (* The solve engine                                                    *)
 
-let run_once algorithm rng g =
-  match (algorithm : Protocol.algorithm) with
-  | `Kl -> fst (Kl.run rng g)
-  | `Sa -> fst (Sa_bisect.run rng g)
-  | `Ckl -> fst (Compaction.ckl rng g)
-  | `Csa -> fst (Compaction.csa rng g)
-  | `Fm -> fst (Fm.run rng g)
-  | `Multilevel -> fst (Compaction.recursive ~refiner:(Compaction.kl_refiner ()) rng g)
-  | `Mlfm -> fst (Compaction.recursive ~refiner:(Compaction.fm_refiner ()) rng g)
-  | `Xsa -> fst (Gb_race.Xsa.run rng g)
-
-(* Mirrors [Gbisect.solve] exactly — same derive/substream discipline,
-   same lowest-index tie-break — so a served job returns bit-identical
-   cuts and sides to a local `gbisect solve` of the same (graph,
-   algorithm, starts, seed) at any --jobs value. test_serve locks the
-   two implementations together. *)
-let best_bisection ~algorithm ~starts ~seed g =
-  let rng = Rng.create ~seed in
-  let base = Rng.derive_seed rng in
-  Pool.best_by (Pool.current ())
-    ~compare:(fun a b -> Int.compare (Bisection.cut a) (Bisection.cut b))
-    (fun i -> run_once algorithm (Rng.substream ~base i) g)
-    starts
-
 let cache_key (s : Protocol.solve) canonical =
   Store.key
     [
@@ -219,7 +191,12 @@ let solve_reply t (s : Protocol.solve) : Protocol.reply =
         | None -> (
             let span = Trace.start () in
             let t0 = Clock.now () in
-            match best_bisection ~algorithm:s.algorithm ~starts:s.starts ~seed:s.seed g with
+            (* The same call as [Gbisect.solve], so a served job returns
+               the cut and sides of a local `gbisect solve` of the same
+               (graph, algorithm, starts, seed) at any --jobs value. *)
+            match
+              Solvers.best_of ~starts:s.starts s.algorithm (Rng.create ~seed:s.seed) g
+            with
             | exception (Failure msg | Invalid_argument msg) ->
                 Trace.finish span "serve.solve";
                 fail Bad_request ("solve: " ^ msg)

@@ -330,6 +330,34 @@ let serve_tests =
         check_int "--timeout 0" 2 c3);
   ]
 
+let kway_tests =
+  [
+    case "kway -a sa on a small grid exits 0 with a valid partition" (fun () ->
+        let path = Filename.temp_file "gbisect_grid" ".txt" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            write_file path
+              (Gbisect.Graph_io.to_edge_list_string (Gbisect.Classic.grid ~rows:6 ~cols:6));
+            let code, out, err = run_cli [ "kway"; path; "-k"; "4"; "-a"; "sa" ] in
+            check_int "exit" 0 code;
+            Alcotest.(check string) "stderr" "" err;
+            check_bool "total cut reported" true (contains out "4-way partition");
+            let sizes =
+              String.split_on_char '\n' out
+              |> List.filter_map (fun l ->
+                     Scanf.sscanf_opt l "  part %d: %d vertices" (fun _ size -> size))
+            in
+            check_int "four parts" 4 (List.length sizes);
+            check_int "every vertex placed" 36 (List.fold_left ( + ) 0 sizes);
+            check_bool "balanced" true
+              (List.fold_left max 0 sizes - List.fold_left min max_int sizes <= 2)));
+    case "kway with an unknown algorithm is a usage error (exit 2)" (fun () ->
+        with_graph_file (fun path ->
+            let code, _, _ = run_cli [ "kway"; path; "-k"; "2"; "-a"; "bogus" ] in
+            check_int "exit" 2 code));
+  ]
+
 let scale_tests =
   [
     case "scale run writes the artifact and exits 0" (fun () ->
@@ -370,6 +398,10 @@ let scale_tests =
             [ "--refine-passes"; "0" ];
             [ "--grid"; "3" ];
           ]);
+    case "scale accepts every registered algorithm (ckl)" (fun () ->
+        let code, out, _ = run_cli [ "scale"; "-n"; "2000"; "-a"; "ckl"; "--json" ] in
+        check_int "exit 0" 0 code;
+        check_bool "algorithm field" true (contains out "\"algorithm\":\"ckl\""));
   ]
 
 let () =
@@ -384,5 +416,6 @@ let () =
       ("lint", lint_tests);
       ("lint --program", lint_program_tests);
       ("serve", serve_tests);
+      ("kway", kway_tests);
       ("scale", scale_tests);
     ]

@@ -311,17 +311,8 @@ let extension_experiment_tests =
 let scale_suite_tests =
   let module S = Gbisect.Scale_suite in
   [
-    case "algorithm ids round-trip" (fun () ->
-        List.iter
-          (fun a ->
-            match S.algorithm_of_id (S.algorithm_id a) with
-            | Some a' when a' = a -> ()
-            | _ -> Alcotest.failf "no round trip for %s" (S.algorithm_id a))
-          [ S.Mlkl; S.Mlfm; S.Fm; S.Kl ];
-        check_bool "multilevel aliases mlkl" true (S.algorithm_of_id "multilevel" = Some S.Mlkl);
-        check_bool "unknown rejected" true (S.algorithm_of_id "nope" = None));
     case "a small run is deterministic apart from timings" (fun () ->
-        let run () = S.run ~algorithm:S.Mlfm ~seed:5 (S.Gnp { n = 2000; avg_degree = 4. }) in
+        let run () = S.run ~algorithm:`Mlfm ~seed:5 (S.Gnp { n = 2000; avg_degree = 4. }) in
         let a = run () and b = run () in
         check_int "n" 2000 a.S.n;
         check_int "same m" a.S.m b.S.m;
@@ -330,21 +321,21 @@ let scale_suite_tests =
         check_bool "balanced" true a.S.balanced;
         check_bool "several levels" true (a.S.levels > 1));
     case "grid model and flat baselines work" (fun () ->
-        let r = S.run ~algorithm:S.Fm ~seed:3 (S.Grid { rows = 30; cols = 40 }) in
+        let r = S.run ~algorithm:`Fm ~seed:3 (S.Grid { rows = 30; cols = 40 }) in
         check_int "n" 1200 r.S.n;
         check_int "m" ((30 * 39) + (29 * 40)) r.S.m;
         check_int "flat solver is one level" 1 r.S.levels;
         check_bool "balanced" true r.S.balanced);
     case "refine_passes trades cut for passes deterministically" (fun () ->
         let run p =
-          (S.run ~refine_passes:p ~algorithm:S.Mlfm ~seed:5
+          (S.run ~ml:{ S.default_ml_config with refine_passes = p } ~algorithm:`Mlfm ~seed:5
              (S.Gnp { n = 4000; avg_degree = 4. }))
             .S.cut
         in
         check_int "stable at fixed passes" (run 1) (run 1);
         check_bool "more passes never hurt the fixed seed" true (run 8 <= run 1));
     case "json artifact carries schema, host and rss fields" (fun () ->
-        let r = S.run ~algorithm:S.Mlkl ~seed:2 (S.Gnp { n = 1000; avg_degree = 3. }) in
+        let r = S.run ~algorithm:`Multilevel ~seed:2 (S.Gnp { n = 1000; avg_degree = 3. }) in
         let s = Gbisect.Obs.Json.to_string (S.to_json r) in
         List.iter
           (fun needle -> check_bool needle true (Helpers.contains s needle))

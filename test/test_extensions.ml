@@ -152,7 +152,7 @@ let spectral_properties =
 
 (* --- Kway ----------------------------------------------------------------------- *)
 
-let kl_solver = Kway.of_algorithm `Kl
+let kl_solver = Gbisect.Solvers.kway_solver `Kl
 
 let kway_tests =
   [
@@ -198,11 +198,9 @@ let kway_tests =
         let g = Classic.grid_of_side 8 in
         List.iter
           (fun algorithm ->
-            let r =
-              Kway.partition ~k:4 ~solver:(Kway.of_algorithm algorithm) (Helpers.rng ()) g
-            in
-            Kway.validate g r)
-          [ `Kl; `Ckl; `Fm; `Multilevel ]);
+            let solver = Gbisect.Solvers.kway_solver algorithm in
+            Kway.validate g (Kway.partition ~k:4 ~solver (Helpers.rng ()) g))
+          Gbisect.Solvers.all);
   ]
 
 let kway_properties =

@@ -11,8 +11,6 @@ let case = Helpers.case
 let check_int = Helpers.check_int
 let check_bool = Helpers.check_bool
 
-let all_algorithms : Gbisect.algorithm list = [ `Kl; `Sa; `Ckl; `Csa; `Fm; `Multilevel ]
-
 let solve_tests =
   [
     case "solve works for every algorithm" (fun () ->
@@ -22,13 +20,13 @@ let solve_tests =
             let r = Gbisect.solve ~algorithm ~starts:1 (Helpers.rng ()) g in
             Helpers.check_bisection_consistent g r.Gbisect.bisection;
             check_bool
-              (Gbisect.algorithm_name algorithm ^ " balanced")
+              (Gbisect.Solvers.name algorithm ^ " balanced")
               true
               (Bisection.is_balanced r.Gbisect.bisection);
             check_bool "timed" true (r.Gbisect.seconds >= 0.))
-          all_algorithms);
+          Gbisect.Solvers.all);
     case "algorithm names are distinct" (fun () ->
-        let names = List.map Gbisect.algorithm_name all_algorithms in
+        let names = List.map Gbisect.Solvers.name Gbisect.Solvers.all in
         check_int "unique" (List.length names)
           (List.length (List.sort_uniq String.compare names)));
     case "more starts never hurt (same base, prefix-nested candidates)" (fun () ->
@@ -78,10 +76,10 @@ let pipeline_tests =
               (fun algorithm ->
                 let res = Gbisect.solve ~algorithm ~starts:1 r g in
                 check_bool
-                  (Printf.sprintf "%s/%s balanced" model (Gbisect.algorithm_name algorithm))
+                  (Printf.sprintf "%s/%s balanced" model (Gbisect.Solvers.name algorithm))
                   true
                   (Bisection.is_balanced res.Gbisect.bisection))
-              all_algorithms)
+              Gbisect.Solvers.all)
           graphs);
     case "IO round trip through the solve pipeline" (fun () ->
         let g = Gbisect.Bregular.generate (Helpers.rng ())
@@ -209,10 +207,10 @@ let determinism_tests =
             let r1 = Gbisect.solve ~algorithm (Helpers.rng ~seed:9 ()) g in
             let r2 = Gbisect.solve ~algorithm (Helpers.rng ~seed:9 ()) g in
             check_int
-              (Gbisect.algorithm_name algorithm ^ " same cut")
+              (Gbisect.Solvers.name algorithm ^ " same cut")
               (Bisection.cut r1.Gbisect.bisection)
               (Bisection.cut r2.Gbisect.bisection))
-          all_algorithms);
+          Gbisect.Solvers.all);
     case "generation + solve end to end reproducible" (fun () ->
         let run () =
           let r = Helpers.rng ~seed:1234 () in
@@ -223,6 +221,58 @@ let determinism_tests =
         check_int "same pipeline result" (run ()) (run ()));
   ]
 
+(* The solver registry: the one algorithm table every consumer reads. *)
+let registry_tests =
+  let module S = Gbisect.Solvers in
+  [
+    case "all lists every constructor once, in declaration order" (fun () ->
+        (* Exhaustive: a new constructor stops this file compiling until
+           it is ranked here, and the check then requires it in [all]. *)
+        let rank : S.algorithm -> int = function
+          | `Kl -> 0
+          | `Sa -> 1
+          | `Ckl -> 2
+          | `Csa -> 3
+          | `Fm -> 4
+          | `Multilevel -> 5
+          | `Mlfm -> 6
+          | `Xsa -> 7
+        in
+        List.iteri (fun i a -> check_int (S.id a ^ " rank") i (rank a)) S.all;
+        check_int "count" 8 (List.length S.all));
+    case "ids and names are unique" (fun () ->
+        List.iter
+          (fun f ->
+            let xs = List.map f S.all in
+            check_int "unique" (List.length xs)
+              (List.length (List.sort_uniq String.compare xs)))
+          [ S.id; S.name ]);
+    case "of_id inverts id" (fun () ->
+        List.iter
+          (fun a ->
+            check_bool (S.id a) true (S.of_id (S.id a) = Some a);
+            check_bool (S.name a) true (S.of_id (S.name a) = Some a))
+          S.all;
+        check_bool "multilevel aliases mlkl" true (S.of_id "multilevel" = Some `Multilevel);
+        check_bool "MultiLevel too" true (S.of_id "MultiLevel" = Some `Multilevel);
+        check_bool "unknown rejected" true (S.of_id "nope" = None);
+        check_bool "empty rejected" true (S.of_id "" = None));
+    case "unknown lists every id" (fun () ->
+        Alcotest.(check string)
+          "text" "unknown algorithm \"nope\" (kl sa ckl csa fm mlkl mlfm xsa)"
+          (S.unknown "nope"));
+    case "run reports the V-cycle depth" (fun () ->
+        let g = Gbisect.Gnp.with_average_degree (Helpers.rng ()) ~n:600 ~avg_degree:4. in
+        List.iter
+          (fun a ->
+            let b, depth = S.run a (Helpers.rng ()) g in
+            Helpers.check_bisection_consistent g b;
+            match a with
+            | `Multilevel | `Mlfm -> check_bool (S.id a ^ " coarsens") true (depth > 1)
+            | _ -> check_int (S.id a ^ " is one level") 1 depth)
+          S.all);
+  ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -230,4 +280,5 @@ let () =
       ("pipelines", pipeline_tests);
       ("paper shapes", shape_tests);
       ("determinism", determinism_tests);
+      ("solvers", registry_tests);
     ]
