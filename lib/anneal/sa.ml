@@ -9,6 +9,15 @@ let m_rejected_uphill = Obs.Metrics.counter "sa.rejected_uphill"
 let m_plateaus = Obs.Metrics.counter "sa.plateaus"
 let h_acceptance = Obs.Metrics.histogram "sa.plateau_acceptance_pct"
 
+type outcome = Rejected | Downhill | Uphill
+
+(* Figure 1, lines 9-10: the one Metropolis rule. Inlined, so [d] and
+   Rng.float's result stay unboxed in the caller; the temperature comes
+   in a float array cell, which is never boxed. *)
+let[@inline] accept rng d temperature =
+  let t = Float.Array.get temperature 0 in
+  d <= 0. || Rng.float rng 1.0 < exp (-.d /. t)
+
 module type Problem = sig
   type state
   type move
@@ -18,6 +27,7 @@ module type Problem = sig
   val random_move : Rng.t -> state -> move
   val delta : state -> move -> float
   val apply : state -> move -> unit
+  val step : Rng.t -> Float.Array.t -> state -> outcome
   val feasible : state -> bool
   val snapshot : state -> state
   val save : src:state -> dst:state -> unit
@@ -76,6 +86,9 @@ module Make (P : Problem) = struct
       | Schedule.Calibrate fraction -> calibrate rng state fraction
     in
     let temperature = ref t0 in
+    (* The temperature as P.step reads it: one unboxed cell, set once
+       per plateau. *)
+    let cell = Float.Array.make 1 t0 in
     (* The one best-state buffer of the run: improvements overwrite it
        in place through P.save. *)
     let best = P.snapshot state in
@@ -105,17 +118,15 @@ module Make (P : Problem) = struct
       let attempted_here = ref 0 in
       let uphill_here = ref 0 in
       let improved_best = ref false in
+      Float.Array.set cell 0 !temperature;
       while !attempted_here < trials_per_temp && !accepted_here < acceptance_budget do
         incr attempted_here;
-        let mv = P.random_move rng state in
-        let d = P.delta state mv in
-        let accept = d <= 0. || Rng.float rng 1.0 < exp (-.d /. !temperature) in
+        let outcome = P.step rng cell state in
         incr attempted;
-        if accept then begin
-          P.apply state mv;
+        if outcome <> Rejected then begin
           incr accepted;
           incr accepted_here;
-          if d > 0. then begin
+          if outcome = Uphill then begin
             incr uphill;
             incr uphill_here
           end;

@@ -45,11 +45,15 @@ module Problem = struct
     check_live st;
     st.gains.(v)
 
-  let delta st v =
-    check_live st;
+  (* Inlined into [step], where the result stays an unboxed float. *)
+  let[@inline] price st v =
     let d = st.c0 - st.c1 in
     let d' = if st.side.(v) = 0 then d - 2 else d + 2 in
     float_of_int (-st.gains.(v)) +. (st.alpha *. float_of_int ((d' * d') - (d * d)))
+
+  let delta st v =
+    check_live st;
+    price st v
 
   (* Flipping v negates its own gain and moves each neighbour's by 2w:
      up for the neighbours v leaves, down for the ones it joins. *)
@@ -72,6 +76,16 @@ module Problem = struct
       let u = Csr.adj_target g k and w2 = 2 * Csr.adj_weight g k in
       if side.(u) = s then gains.(u) <- gains.(u) + w2 else gains.(u) <- gains.(u) - w2
     done
+
+  let step rng temperature st =
+    check_live st;
+    let v = random_move rng st in
+    let d = price st v in
+    if Sa.accept rng d temperature then begin
+      apply st v;
+      if d > 0. then Sa.Uphill else Sa.Downhill
+    end
+    else Sa.Rejected
 
   let feasible st = abs (st.c0 - st.c1) <= st.balance_slack
   let snapshot st = { st with side = Array.copy st.side; gains = [||] }

@@ -63,6 +63,15 @@ module Problem = struct
     end;
     st.side.(v) <- 1 - s
 
+  let step rng temperature st =
+    let v = random_move rng st in
+    let d = delta st v in
+    if Sa.accept rng d temperature then begin
+      apply st v;
+      if d > 0. then Sa.Uphill else Sa.Downhill
+    end
+    else Sa.Rejected
+
   let feasible st = abs (st.c0 - st.c1) <= st.balance_slack
 
   let snapshot st =

@@ -381,10 +381,7 @@ let extract (lexed : Tokenizer.t) =
       | Some (Tokenizer.Ident ("let" | "and" as kw)) ->
           let is_let = kw = "let" in
           if is_let || st.last_item_was_let then begin
-            let j =
-              if tok st (!i + 1) = Some (Tokenizer.Ident "rec") then !i + 2
-              else !i + 1
-            in
+            let j = Tokenizer.binding_head st.lexed !i in
             let names, body, rng, params = scan_head st j stop in
             let refs = collect_refs st body stop in
             let mut = (not params) && rhs_mutable st body stop in

@@ -300,7 +300,7 @@ let no_naked_mutable_global =
         (match t.(!i).Tokenizer.tok with
         | Tokenizer.Ident ("let" | "and") when t.(!i).Tokenizer.col = 0 ->
             let stop = item_end !i in
-            let k = if tk r (!i + 1) = Some (Tokenizer.Ident "rec") then !i + 2 else !i + 1 in
+            let k = Tokenizer.binding_head r !i in
             (match (tk r k, tk r (k + 1)) with
             | Some (Tokenizer.Ident _), (Some (Tokenizer.Sym "=") | Some (Tokenizer.Sym ":"))
               ->
@@ -526,10 +526,7 @@ let enclosing_binding (lexed : Tokenizer.t) line =
       match p.Tokenizer.tok with
       | Tokenizer.Ident (("let" | "val" | "external") as kw)
         when p.Tokenizer.col = 0 && p.Tokenizer.line <= line ->
-          let j =
-            if tk lexed (i + 1) = Some (Tokenizer.Ident "rec") then i + 2 else i + 1
-          in
-          (match tk lexed j with
+          (match tk lexed (Tokenizer.binding_head lexed i) with
           | Some (Tokenizer.Ident name) when name <> "open" ->
               best := Some (kw, name)
           | _ -> ())

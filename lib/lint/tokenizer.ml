@@ -255,3 +255,23 @@ let tokenize src =
     end
   done;
   { tokens = Array.of_list (List.rev st.toks); comments = List.rev st.cmts }
+
+let binding_head (r : t) i =
+  let n = Array.length r.tokens in
+  let at j = if j < n then Some r.tokens.(j).tok else None in
+  (* Past any [\[@...\]] attributes, nested brackets included. *)
+  let rec skip_attributes j =
+    if at j = Some (Sym "[") && at (j + 1) = Some (Sym "@") then begin
+      let rec close j depth =
+        match at j with
+        | None -> n
+        | Some (Sym "[") -> close (j + 1) (depth + 1)
+        | Some (Sym "]") -> if depth = 1 then j + 1 else close (j + 1) (depth - 1)
+        | Some _ -> close (j + 1) depth
+      in
+      skip_attributes (close j 0)
+    end
+    else j
+  in
+  let j = skip_attributes (i + 1) in
+  skip_attributes (if at j = Some (Ident "rec") then j + 1 else j)

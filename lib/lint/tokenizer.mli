@@ -48,3 +48,10 @@ val tokenize : string -> t
     comment or string simply ends at end of input (the rules then see
     whatever was lexed up to that point — the compiler will reject the
     file anyway). *)
+
+val binding_head : t -> int -> int
+(** [binding_head lexed i], for the index [i] of a [let] or [and]
+    keyword, is the index of the first token of the bound name or
+    pattern. It steps over [rec] and over attributes on either side of
+    it: [let\[@inline\] f], [let rec\[@inline\] f] and
+    [let\[@inline\] rec f] all give the index of [f]. *)

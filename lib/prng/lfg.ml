@@ -28,7 +28,7 @@ let splitmix_next s =
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   (s, z lxor (z lsr 31))
 
-let raw_next t =
+let[@inline] next t =
   let i = t.pos in
   let j = i - short_lag in
   let j = if j < 0 then j + long_lag else j in
@@ -49,18 +49,17 @@ let create ~seed =
   if Array.for_all (fun v -> v land 1 = 0) state then state.(0) <- state.(0) lor 1;
   let t = { state; pos = 0 } in
   for _ = 1 to 10 * long_lag do
-    ignore (raw_next t)
+    ignore (next t)
   done;
   t
 
 let copy t = { state = Array.copy t.state; pos = t.pos }
-let next = raw_next
 
 let derive_seed t =
   (* Two draws packed into a 60-bit seed; advances the parent by
      exactly two outputs no matter what is done with the result. *)
-  let hi = raw_next t in
-  let lo = raw_next t in
+  let hi = next t in
+  let lo = next t in
   (hi lsl bits) lor lo
 
 let split t = create ~seed:(derive_seed t)

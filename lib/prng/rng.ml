@@ -19,28 +19,33 @@ let seed_of_string s =
     s;
   !h land max_int
 
-let int t n =
+(* Rejection sampling for exact uniformity. A draw v is kept when its
+   whole block [v - v mod n, v - v mod n + n) lies below the modulus,
+   the same test as v < modulus - modulus mod n, with one division per
+   draw. *)
+let[@inline] int t n =
   if n <= 0 || n > Lfg.modulus then invalid_arg "Rng.int";
-  (* Rejection sampling for exact uniformity. *)
-  let limit = Lfg.modulus - (Lfg.modulus mod n) in
   let v = ref (Lfg.next t.core) in
-  while !v >= limit do
-    v := Lfg.next t.core
+  let r = ref (!v mod n) in
+  while !v - !r + n > Lfg.modulus do
+    v := Lfg.next t.core;
+    r := !v mod n
   done;
-  !v mod n
+  !r
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in";
   lo + int t (hi - lo + 1)
 
-let float t x =
-  (* Two 30-bit draws give a 60-bit uniform in [0, 1). *)
-  let hi = Lfg.next t.core and lo = Lfg.next t.core in
-  let u =
-    (float_of_int hi +. (float_of_int lo /. float_of_int Lfg.modulus))
-    /. float_of_int Lfg.modulus
-  in
-  u *. x
+(* 2^-30, exact: the modulus is a power of two, so scaling by its
+   inverse rounds as dividing by it does. *)
+let inv_modulus = 1. /. float_of_int Lfg.modulus
+
+(* Two 30-bit draws give a 60-bit uniform in [0, 1). *)
+let[@inline] float t x =
+  let hi = Lfg.next t.core in
+  let lo = Lfg.next t.core in
+  (float_of_int hi +. (float_of_int lo *. inv_modulus)) *. inv_modulus *. x
 
 let bool t = Lfg.next t.core land 1 = 1
 

@@ -89,13 +89,12 @@ type slot = {
    own state — safe and deterministic under Pool fan-out. *)
 let step_slot cfg n record slot =
   let steps = cfg.sweeps_per_round * max 1 n in
-  let temp = slot.temperature in
+  let temperature = Float.Array.make 1 slot.temperature in
   for _ = 1 to steps do
     let v = Problem.random_move slot.rng slot.state in
     let d = Problem.delta slot.state v in
     slot.attempted <- slot.attempted + 1;
-    let accept = d <= 0. || Rng.float slot.rng 1.0 < exp (-.d /. temp) in
-    if accept then begin
+    if Gb_anneal.Sa.accept slot.rng d temperature then begin
       Problem.apply slot.state v;
       slot.accepted <- slot.accepted + 1;
       if record then slot.trajectory <- v :: slot.trajectory;

@@ -92,6 +92,46 @@ let qtest_pair ?(count = 200) name gen print prop =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Byte-identity pins: an answer is folded into a hex MD5 (floats by
+   their bits), so a pinned hash moves on any change to any field. *)
+module Pin = struct
+  let create () = Buffer.create 1024
+
+  let int b i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+
+  let ints b a = Array.iter (int b) a
+  let bool b x = int b (Bool.to_int x)
+
+  let float b x =
+    Buffer.add_string b (Int64.to_string (Int64.bits_of_float x));
+    Buffer.add_char b ','
+
+  let sa_stats b (s : Gbisect.Sa.stats) =
+    let open Gbisect.Sa in
+    List.iter (int b) [ s.temperatures; s.attempted; s.accepted; s.uphill_accepted ];
+    List.iter (float b) [ s.initial_temperature; s.final_temperature ];
+    bool b s.frozen;
+    List.iter
+      (fun p ->
+        float b p.temperature;
+        List.iter (int b)
+          [ p.p_attempted; p.p_accepted; p.p_accepted_uphill; p.p_accepted_downhill; p.p_rejected ];
+        float b p.acceptance;
+        float b p.p_best_cost;
+        bool b p.improved_best)
+      s.plateaus
+
+  let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+  (* [check label (cut, hash) (cut', hash')]: the readable cut first,
+     so a moved answer names the field a reader can check by hand. *)
+  let check label (cut, hash) (cut', hash') =
+    check_int (label ^ " cut") cut cut';
+    Alcotest.(check string) (label ^ " hash") hash hash'
+end
+
 (* Substring search (no external deps). *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in

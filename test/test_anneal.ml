@@ -62,6 +62,16 @@ module Toy = struct
   let delta st i = if st.spins.(i) = st.target.(i) then 1.0 else -1.0
 
   let apply st i = st.spins.(i) <- -st.spins.(i)
+
+  let step rng temperature st =
+    let i = random_move rng st in
+    let d = delta st i in
+    if Sa.accept rng d temperature then begin
+      apply st i;
+      if d > 0. then Sa.Uphill else Sa.Downhill
+    end
+    else Sa.Rejected
+
   let feasible _ = true
   let snapshot st = { st with spins = Array.copy st.spins }
   let save ~src ~dst = Array.blit src.spins 0 dst.spins 0 (Array.length src.spins)
@@ -313,6 +323,37 @@ let threshold_tests =
           let b, _ = Threshold.run r g in
           check_bool "ta >= opt" true (Bisection.cut b >= opt)
         done);
+  ]
+
+(* Threshold.run on a fresh stream: the cut and a hash of the sides and
+   every stats field. *)
+let threshold_pin seed g =
+  let b, s = Threshold.run (Rng.create ~seed) g in
+  let p = Helpers.Pin.create () in
+  Helpers.Pin.ints p (Bisection.sides b);
+  List.iter (Helpers.Pin.int p) [ s.Threshold.levels; s.Threshold.attempted; s.Threshold.accepted ];
+  Helpers.Pin.float p s.Threshold.initial_threshold;
+  Helpers.Pin.float p s.Threshold.final_threshold;
+  (Bisection.cut b, Helpers.Pin.hex p)
+
+let threshold_pin_tests =
+  [
+    case "answers are pinned byte for byte" (fun () ->
+        let r = Rng.create ~seed:15 in
+        List.iter
+          (fun (name, g, expected) -> Helpers.Pin.check name expected (threshold_pin 4 g))
+          [
+            ( "gnp 300",
+              Gbisect.Gnp.with_average_degree r ~n:300 ~avg_degree:3.0,
+              (57, "cdf9858a471a1417e545b23acb9f3684") );
+            ( "gbreg 240",
+              Gbisect.Bregular.generate r Gbisect.Bregular.{ two_n = 240; b = 4; d = 3 },
+              (4, "33e92b25e8ab1a7f170a8631cbd9074e") );
+            ( "geometric 200",
+              Gbisect.Geometric.generate r ~n:200
+                ~radius:(Gbisect.Geometric.radius_for_average_degree ~n:200 ~avg_degree:5.0),
+              (15, "2b8c3d25b70853af4885f86ac8b6ebbd") );
+          ]);
   ]
 
 (* --- SA differential: the gain-cached problem vs the one it replaced --- *)
@@ -753,6 +794,66 @@ let save_tests =
         Alcotest.(check (float 0.)) "best is optimal" 0. (Toy.cost result.E.best));
   ]
 
+(* --- Allocation: an SA attempt allocates nothing ---------------------------- *)
+
+(* Minor words and attempts of one Sa_bisect.refine over two plateaus at
+   a fixed temperature. Everything but the attempts (the state, the
+   snapshot, the plateau records, the rebalance) is the same at every
+   size factor, so the difference of two runs is the attempts' own. *)
+let refine_words size_factor =
+  let g =
+    Gbisect.Bregular.generate (Rng.create ~seed:8)
+      Gbisect.Bregular.{ two_n = 1000; b = 16; d = 3 }
+  in
+  let config =
+    {
+      quick_config with
+      Sa_bisect.schedule =
+        {
+          Schedule.quick with
+          size_factor;
+          max_temperatures = 2;
+          initial_temperature = Fixed_temperature 0.3;
+        };
+    }
+  in
+  let side = start_side "allocation gate" g in
+  let rng = Rng.create ~seed:9 in
+  let w0 = Gc.minor_words () in
+  let _, st = Sa_bisect.refine ~config rng g side in
+  let w1 = Gc.minor_words () in
+  (w1 -. w0, st.Sa_bisect.sa.Sa.attempted)
+
+(* Whether this build inlines across modules. Dune's dev profile
+   compiles with -opaque, which turns that off: Sa.accept and Rng.float
+   are then real calls, and each float that crosses one is boxed. *)
+let inlines_across_modules () =
+  let r = Rng.create ~seed:1 in
+  let sum = ref 0. in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    sum := !sum +. Rng.float r 1.0
+  done;
+  let w1 = Gc.minor_words () in
+  ignore (Sys.opaque_identity !sum);
+  w1 -. w0 < 100.
+
+let allocation_tests =
+  [
+    case "refine's minor words do not grow with the attempts" (fun () ->
+        let w4, a4 = refine_words 4 and w16, a16 = refine_words 16 in
+        check_bool "more attempts" true (a16 > a4);
+        let per_attempt = (w16 -. w4) /. float_of_int (a16 - a4) in
+        (* Inlined, an attempt allocates nothing; what is left is the
+           boxed cost of the rare accepted balanced state. Not inlined,
+           [d] and Rng.float's result are boxed on the way through
+           Sa.accept: two words each. *)
+        let bound = if inlines_across_modules () then 0.2 else 4.2 in
+        check_bool
+          (Printf.sprintf "%.3f words per extra attempt < %.1f" per_attempt bound)
+          true (per_attempt < bound));
+  ]
+
 let () =
   Alcotest.run "anneal"
     [
@@ -761,8 +862,9 @@ let () =
       ("sa_bisect", sa_bisect_tests);
       ("sa_bisect properties", sa_bisect_properties);
       ("cutoff", cutoff_tests);
-      ("threshold accepting", threshold_tests);
+      ("threshold accepting", threshold_tests @ threshold_pin_tests);
       ("sa differential", sa_differential_tests);
       ("sa diff properties", sa_differential_properties);
       ("sa save", save_tests);
+      ("sa allocation", allocation_tests);
     ]

@@ -483,6 +483,33 @@ let hsa_tests =
           (sa.Hsa.final_cut <= (2 * fm.Hfm.final_cut) + 10));
   ]
 
+(* Hsa.run on a fresh stream: the cut and a hash of the sides and every
+   stats field. *)
+let hsa_pin ?(config = hsa_quick) seed h =
+  let side, s = Hsa.run ~config (Rng.create ~seed) h in
+  let b = Helpers.Pin.create () in
+  Helpers.Pin.ints b side;
+  Helpers.Pin.sa_stats b s.Hsa.sa;
+  Helpers.Pin.int b s.Hsa.initial_cut;
+  Helpers.Pin.int b s.Hsa.final_cut;
+  (s.Hsa.final_cut, Helpers.Pin.hex b)
+
+let hsa_pin_tests =
+  [
+    case "answers are pinned byte for byte" (fun () ->
+        Helpers.Pin.check "reference netlist" (2, "ccfea42f29c5524d6483c3f223e0dfb0")
+          (hsa_pin ~config:Hsa.default_config 1 (sample ()));
+        List.iter
+          (fun (seed, expected) ->
+            let h = Random_netlist.generate (Rng.create ~seed) Random_netlist.default_params in
+            Helpers.Pin.check (Printf.sprintf "netlist seed %d" seed) expected (hsa_pin seed h))
+          [
+            (1, (38, "e0734098937793911a624b3c101bf23c"));
+            (2, (36, "3c66a6160620a9641192a0372258a953"));
+            (3, (32, "d42023ab444cd4b1a85e743c2fe7f3cb"));
+          ]);
+  ]
+
 let hsa_properties =
   [
     qnetlist ~count:60 "hsa returns balanced assignments" (fun (n, nets) ->
@@ -494,7 +521,7 @@ let hsa_properties =
 let () =
   Alcotest.run "hyper"
     [
-      ("hsa", hsa_tests);
+      ("hsa", hsa_tests @ hsa_pin_tests);
       ("hsa properties", hsa_properties);
       ("placement", placement_tests);
       ("hcoarsen", hcoarsen_tests);

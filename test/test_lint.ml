@@ -232,6 +232,23 @@ let def_names x = List.map (fun d -> d.Resolve.d_name) x.Resolve.x_defs
 
 let extractor_tests =
   [
+    case "attributed let bindings are named" (fun () ->
+        let x =
+          extract
+            "let[@inline] f x = x\n\
+             let rec[@inline] g x = g x\n\
+             let[@inline never] rec h x = h x\n\
+             let[@inline] k = 1\n"
+        in
+        List.iter
+          (fun name -> check_bool (name ^ " extracted") true (List.mem name (def_names x)))
+          [ "f"; "g"; "h"; "k" ];
+        check_bool "no attribute names" false (List.mem "inline" (def_names x));
+        Alcotest.(check (option (pair string string)))
+          "enclosing binding" (Some ("let", "g"))
+          (Rules.enclosing_binding
+             (Tokenizer.tokenize "let[@inline] f x = x\nlet rec[@inline] g x =\n  g x\n")
+             3));
     case "functor bodies contribute qualified defs" (fun () ->
         let x =
           extract
@@ -398,6 +415,18 @@ let program_rule_tests =
             check_bool "names the dead export" true
               (Helpers.contains f.Rules.message "`unused`")
         | fs -> Alcotest.failf "expected 1 finding, got %d" (List.length fs));
+    case "dead-export: an attributed definition is still referenced" (fun () ->
+        let sources =
+          [
+            ("fix/dune", "(library\n (name fix))\n");
+            ("fix/fix_api.ml", "let[@inline] used x = x + 1\nlet rec[@inline] also x = also x\n");
+            ("fix/fix_api.mli", "val used : int -> int\nval also : int -> int\n");
+            ("fix/fix_caller.ml", "let go x = Fix_api.used (Fix_api.also x)\n");
+          ]
+        in
+        match graph_findings sources with
+        | [] -> ()
+        | f :: _ -> Alcotest.failf "unexpected finding: %s" f.Rules.message);
     case "every program rule name is registered" (fun () ->
         List.iter
           (fun r -> check_bool r true (Rules.program_rule_name r))

@@ -292,6 +292,101 @@ let collection_tests =
         check_bool "few collisions" true (!collisions < 5));
   ]
 
+(* --- Rng identity: the division-free variates against frozen copies ---- *)
+
+(* Rng.int and Rng.float as they stood before the division-free rewrite
+   (a precomputed rejection limit; two divisions per float), frozen here
+   as the reference. They draw from a bare Lfg, which [Rng.create] wraps
+   with the same seed, so both sides read one stream. *)
+module Frozen = struct
+  let limit n = Lfg.modulus - (Lfg.modulus mod n)
+
+  let int g n =
+    let limit = limit n in
+    let v = ref (Lfg.next g) in
+    while !v >= limit do
+      v := Lfg.next g
+    done;
+    !v mod n
+
+  let float g x =
+    let hi = Lfg.next g and lo = Lfg.next g in
+    let u =
+      (float_of_int hi +. (float_of_int lo /. float_of_int Lfg.modulus))
+      /. float_of_int Lfg.modulus
+    in
+    u *. x
+end
+
+(* The rejection test Rng.int evaluates: one division per draw. *)
+let rejects n v = v - (v mod n) + n > Lfg.modulus
+
+let big_bounds =
+  [ (1 lsl 29) - 1; 1 lsl 29; (1 lsl 29) + 1; (1 lsl 30) - 1; 1 lsl 30 ]
+
+(* After [k] paired draws both streams must sit at the same state:
+   [Rng.int _ modulus] never rejects, so it returns the raw next word. *)
+let check_in_step label g r =
+  check_int (label ^ " streams in step") (Lfg.next g) (Rng.int r Lfg.modulus)
+
+let identity_tests =
+  [
+    case "int equals the frozen int for every small bound" (fun () ->
+        let g = Lfg.create ~seed:2024 and r = Rng.create ~seed:2024 in
+        for n = 1 to 5000 do
+          for _ = 1 to 40 do
+            let e = Frozen.int g n in
+            let a = Rng.int r n in
+            if e <> a then Alcotest.failf "n %d: frozen %d, new %d" n e a
+          done
+        done;
+        check_in_step "small bounds" g r);
+    case "int equals the frozen int for bounds near the modulus" (fun () ->
+        List.iter
+          (fun n ->
+            let g = Lfg.create ~seed:n and r = Rng.create ~seed:n in
+            for _ = 1 to 100_000 do
+              let e = Frozen.int g n in
+              let a = Rng.int r n in
+              if e <> a then Alcotest.failf "n %d: frozen %d, new %d" n e a
+            done;
+            check_in_step (Printf.sprintf "n %d" n) g r)
+          big_bounds);
+    case "the one-division rejection test equals the limit test" (fun () ->
+        (* Every draw within n of the limit for small n; a 2^16 window
+           for the bounds whose n-window is the whole range. *)
+        let agree n v =
+          if v >= 0 && v < Lfg.modulus && rejects n v <> (v >= Frozen.limit n) then
+            Alcotest.failf "n %d v %d: limit test %b, one-division test %b" n v
+              (v >= Frozen.limit n) (rejects n v)
+        in
+        for n = 1 to 5000 do
+          let l = Frozen.limit n in
+          for v = l - n to l + n do
+            agree n v
+          done
+        done;
+        List.iter
+          (fun n ->
+            let l = Frozen.limit n in
+            for v = l - 65536 to l + 65536 do
+              agree n v
+            done)
+          big_bounds);
+    case "float is bit-identical to the frozen float" (fun () ->
+        List.iter
+          (fun x ->
+            let g = Lfg.create ~seed:77 and r = Rng.create ~seed:77 in
+            for _ = 1 to 1_000_000 do
+              let e = Frozen.float g x in
+              let a = Rng.float r x in
+              if not (Int64.equal (Int64.bits_of_float e) (Int64.bits_of_float a)) then
+                Alcotest.failf "x %g: frozen %h, new %h" x e a
+            done;
+            check_in_step (Printf.sprintf "x %g" x) g r)
+          [ 1.0; 0.37; 1e6 ]);
+  ]
+
 let () =
   Alcotest.run "prng"
     [
@@ -299,4 +394,5 @@ let () =
       ("int variates", int_tests);
       ("float variates", float_tests);
       ("collections", collection_tests);
+      ("rng identity", identity_tests);
     ]

@@ -43,6 +43,36 @@ let small_config =
 
 (* --- xsa: replica-exchange SA ---------------------------------------------- *)
 
+(* Xsa.run ~record:true on a fresh stream: the cut and a hash of the
+   sides, the counters, the swap counts and every chain's trajectory. *)
+let xsa_pin ?(config = small_config) seed g =
+  let cut, sides, attempted, accepted, swaps_attempted, swaps_accepted, best_chain, snap, traj =
+    xsa_fingerprint ~config ~record:true (Rng.create ~seed) g
+  in
+  let b = Helpers.Pin.create () in
+  Helpers.Pin.ints b sides;
+  List.iter (Helpers.Pin.int b)
+    [ attempted; accepted; swaps_attempted; swaps_accepted; best_chain; List.length traj ];
+  Helpers.Pin.bool b snap;
+  List.iter
+    (fun t ->
+      Helpers.Pin.int b (List.length t);
+      List.iter (Helpers.Pin.int b) t)
+    traj;
+  (cut, Helpers.Pin.hex b)
+
+let xsa_pin_tests =
+  [
+    case "answers are pinned byte for byte" (fun () ->
+        let r = Rng.create ~seed:17 in
+        Helpers.Pin.check "gnp 120" (38, "982c0e9f582eac4870dd722171f05117")
+          (xsa_pin 3 (Gbisect.Gnp.with_average_degree r ~n:120 ~avg_degree:3.0));
+        Helpers.Pin.check "ladder 40 default config" (14, "aa9f73fc010e6840445c06e3115f305e")
+          (xsa_pin ~config:Xsa.default_config 5 (Gbisect.Classic.ladder 40));
+        Helpers.Pin.check "gbreg 200" (46, "2b43566dd669990ce27667f85ecd145e")
+          (xsa_pin 9 (Gbisect.Bregular.generate r Gbisect.Bregular.{ two_n = 200; b = 4; d = 3 })));
+  ]
+
 let xsa_tests =
   [
     case "temperature ladder is geometric, hottest first" (fun () ->
@@ -328,7 +358,7 @@ let kernel_tests =
 let () =
   Alcotest.run "race"
     [
-      ("xsa", xsa_tests);
+      ("xsa", xsa_tests @ xsa_pin_tests);
       ("race portfolio", race_tests);
       ("parallel kernels", kernel_tests);
     ]
